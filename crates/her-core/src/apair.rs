@@ -21,28 +21,14 @@ pub fn apair(
 ) -> Vec<(VertexId, VertexId)> {
     let ctx = matcher.ctx();
     let span = matcher.obs().map(|o| o.tracer.span_ctx("apair", ctx));
-    let sigma = matcher.params().thresholds.sigma;
-    // Candidate generation across all tuples (Fig. 8 lines 2-3).
-    let mut cand: Vec<(VertexId, VertexId)> = Vec::new();
+    matcher.hold_telemetry();
+    // Candidate generation across all tuples (Fig. 8 lines 2-3), each
+    // keyed for line 4's order so the sort below compares plain tuples.
+    let mut cand: Vec<(usize, VertexId, VertexId)> = Vec::new();
     for &u_t in tuple_vertices {
-        match index {
-            Some(idx) => {
-                let query =
-                    crate::index::blocking_query(matcher.gd(), matcher.interner(), u_t);
-                for v in idx.candidates(&query) {
-                    if matcher.hv_pair(u_t, v) >= sigma {
-                        cand.push((u_t, v));
-                    }
-                }
-            }
-            None => {
-                let vs: Vec<VertexId> = matcher.g().vertices().collect();
-                for v in vs {
-                    if matcher.hv_pair(u_t, v) >= sigma {
-                        cand.push((u_t, v));
-                    }
-                }
-            }
+        let deg_u = matcher.gd().degree(u_t);
+        for v in crate::vpair::candidates(matcher, u_t, index) {
+            cand.push((deg_u + matcher.g().degree(v), u_t, v));
         }
     }
     if let Some(obs) = matcher.obs() {
@@ -52,10 +38,11 @@ pub fn apair(
             .observe(cand.len() as u64);
     }
     // Fig. 8 line 4: increasing order of degree.
-    cand.sort_by_key(|&(u, v)| (matcher.gd().degree(u) + matcher.g().degree(v), u, v));
+    cand.sort_unstable();
+    matcher.reserve_verdicts(cand.len());
     // Verification (as VParaMatch).
     let mut out = Vec::new();
-    for (u, v) in cand {
+    for (_, u, v) in cand {
         let matched = match matcher.cached(u, v) {
             Some(verdict) => verdict,
             None => matcher.is_match(u, v),
@@ -65,6 +52,7 @@ pub fn apair(
         }
     }
     out.sort();
+    matcher.publish_telemetry();
     drop(span);
     out
 }

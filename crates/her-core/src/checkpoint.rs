@@ -4,7 +4,7 @@
 //! re-derived from the inputs: the verdict `cache` with its lineage sets,
 //! the border/assumption bookkeeping of the parallel engine, the sticky
 //! exhaustion flag and the stats counters. Derived memos (`ecache`
-//! selections, score caches — private or the process-wide
+//! selections, both score tiers — the private pair memo and the
 //! [`SharedScores`](crate::SharedScores) layer) are deliberately *not*
 //! checkpointed — they re-fill on demand and only affect speed, never
 //! verdicts. A restored matcher adopts the shared layer's *current*

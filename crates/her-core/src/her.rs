@@ -51,10 +51,11 @@ pub struct HerConfig {
     /// Synonym lexicon injected into `M_v` (stands in for pre-trained
     /// semantic knowledge).
     pub synonyms: Vec<(String, String)>,
-    /// Share one [`SharedScores`] memo across every matcher the facade
+    /// Share one [`SharedScores`] layer behind every matcher the facade
     /// creates, so repeated queries (SPair/VPair/APair) never re-embed
-    /// the same label. Pure memoization — results are unchanged; off is
-    /// only useful for ablation.
+    /// the same label. Pure memoization — results are unchanged; off
+    /// (every matcher reads through a layer of its own) is only useful
+    /// for ablation.
     pub use_shared_scores: bool,
 }
 
@@ -636,6 +637,55 @@ mod tests {
         let before = shared.generation();
         her.refine(&[(ts[0], vs[1], false)], &RefineConfig::default());
         assert!(shared.generation() > before);
+    }
+
+    /// Refinement and the two score tiers: a matcher borrows the
+    /// parameters, so none (and no private pair memo) can outlive a
+    /// `refine`; what does outlive it is the facade's shared handle,
+    /// whose memos `refine` must drop — the next matcher then scores the
+    /// fine-tuned pair afresh instead of reading the stale float.
+    #[test]
+    fn refine_changes_the_scores_later_matchers_read() {
+        let (db, _, _, ts, _) = fixture();
+        // The fixture's graph plus a twin of `Dame Shoes` typed
+        // "product": a non-match only because of its root label.
+        let mut b = GraphBuilder::new();
+        let mut roots = Vec::new();
+        for (ty, name, color) in [
+            ("item", "Dame Shoes", "white"),
+            ("item", "Runner Pro", "red"),
+            ("product", "Dame Shoes", "white"),
+        ] {
+            let v = b.add_vertex(ty);
+            let n = b.add_vertex(name);
+            let c = b.add_vertex(color);
+            b.add_edge(v, n, "name");
+            b.add_edge(v, c, "hasColor");
+            roots.push(v);
+        }
+        let product = roots[2];
+        let (g, i) = b.build();
+        let mut her = Her::build(&db, g, i, &cfg());
+        let u = her.cg.vertex_of(ts[0]);
+        let sigma = her.params.thresholds.sigma;
+        let before = her.matcher().hv_pair(u, product);
+        assert!(before < sigma, "differently-typed twin starts below σ");
+        assert!(!her.spair(ts[0], product));
+        let generation = her.shared_scores.as_ref().expect("shared on").generation();
+
+        // One noise-free user says they match: a false negative, so
+        // M_v("item", "product") is tuned towards 1.
+        let noise_free = RefineConfig {
+            error_rate: 0.0,
+            ..RefineConfig::default()
+        };
+        let outcome = her.refine(&[(ts[0], product, true)], &noise_free);
+        assert_eq!(outcome.fn_corrected, 1);
+        let shared = her.shared_scores.clone().expect("shared on");
+        assert!(shared.generation() > generation);
+        assert_eq!(shared.hv_entries(), 0, "refine drops the shared memos");
+        let after = her.matcher().hv_pair(u, product);
+        assert!(after > before && after >= sigma, "{before} -> {after}");
     }
 
     /// Regression for the verified-overlay scan: `apply_verified` used

@@ -9,9 +9,11 @@
 //! `Σ h_ρ ≥ δ`. The modules:
 //!
 //! - [`params`]: the parameter bundle `(h_v, h_ρ, h_r, σ, δ, k)`;
-//! - [`scores`]: memoised score evaluation over interned labels and paths;
-//! - [`shared_scores`]: the thread-safe sharded score memo one process
-//!   shares across all matchers (sequential facade, BSP/async workers);
+//! - [`scores`]: the private, lock-free pair memo each matcher's hot loop
+//!   reads `h_v`/`h_ρ` from;
+//! - [`shared_scores`]: the thread-safe sharded layer behind it that one
+//!   process shares across all matchers (sequential facade, BSP/async
+//!   workers), keeping embeddings and encodings exactly-once;
 //! - [`paramatch`]: algorithm `ParaMatch` (Fig. 4) — quadratic-time match
 //!   checking with `cache`/`ecache`, sorted candidate lists, `MaxSco` early
 //!   termination and the cleanup stage (module SPair);

@@ -4,12 +4,15 @@
 //! match under parameters `(h_v, h_ρ, h_r, σ, δ, k)`. The implementation
 //! follows the paper's three stages:
 //!
-//! 1. **Initial stage** — reject on `h_v < σ`; accept leaves; install an
-//!    *optimistic* `cache[u,v] = [true, ∅]` entry (the coinductive
-//!    assumption that lets interdependent candidates — e.g. pairs on a
-//!    cycle — be resolved without infinite recursion); select top-k
-//!    descendants through `ecache`; build per-descendant candidate lists
-//!    sorted by descending `h_ρ`.
+//! 1. **Initial stage** — reject on `h_v < σ`; accept leaves; select
+//!    top-k descendants through `ecache`; compute the initial `MaxSco`
+//!    bound straight from the score memo and reject when it is already
+//!    below `δ` (the common case, decided before anything is built);
+//!    otherwise install an *optimistic* `cache[u,v] = [true, ∅]` entry
+//!    (the coinductive assumption that lets interdependent candidates —
+//!    e.g. pairs on a cycle — be resolved without infinite recursion)
+//!    and build per-descendant candidate lists sorted by descending
+//!    `h_ρ`.
 //! 2. **Matching stage** — maintain `MaxSco`, the best achievable aggregate
 //!    score; terminate early when it sinks below `δ`; otherwise greedily
 //!    grow a partial injective lineage set `W`, recursing on unresolved
@@ -23,7 +26,7 @@ use crate::params::Params;
 use crate::scores::ScoreCache;
 use crate::shared_scores::SharedScores;
 use her_graph::hash::{FxHashMap, FxHashSet};
-use her_graph::{Graph, Interner, LabelId, Path, VertexId};
+use her_graph::{Graph, Interner, Path, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc as Rc;
 use std::time::{Duration, Instant};
@@ -191,15 +194,12 @@ impl MatchStats {
     }
 }
 
-/// Resolved instrument handles (one atomic op per bump on the hot
-/// path). Built once in [`Matcher::with_options`] when the options
-/// carry an [`her_obs::Obs`]; `None` otherwise, so uninstrumented
-/// matchers pay a single branch per site.
+/// Resolved instrument handles. Built once in [`Matcher::with_options`]
+/// when the options carry an [`her_obs::Obs`]; `None` otherwise. The
+/// `MatchStats` mirrors are registry counters every worker shares, so
+/// the hot path never touches them: [`Matcher::publish_telemetry`] adds
+/// the local delta once per non-recursive entry point.
 struct Probes {
-    /// Request context the matcher was built for; tags every trace
-    /// event the probes emit so per-request breakdowns attribute
-    /// budget exhaustion to the originating request.
-    ctx: her_obs::ReqCtx,
     calls: Rc<her_obs::Counter>,
     cache_hits: Rc<her_obs::Counter>,
     ecache_hits: Rc<her_obs::Counter>,
@@ -209,13 +209,14 @@ struct Probes {
     cache_entries: Rc<her_obs::Gauge>,
     lineage_size: Rc<her_obs::Histogram>,
     candidate_list_len: Rc<her_obs::Histogram>,
+    /// The part of the matcher's [`MatchStats`] already mirrored.
+    flushed: MatchStats,
 }
 
 impl Probes {
-    fn resolve(obs: &her_obs::Obs, ctx: her_obs::ReqCtx) -> Self {
+    fn resolve(obs: &her_obs::Obs) -> Self {
         let r = &obs.registry;
         Probes {
-            ctx,
             calls: r.counter("paramatch.calls"),
             cache_hits: r.counter("paramatch.cache_hits"),
             ecache_hits: r.counter("paramatch.ecache_hits"),
@@ -225,6 +226,7 @@ impl Probes {
             cache_entries: r.gauge("paramatch.cache_entries"),
             lineage_size: r.histogram("paramatch.lineage_size"),
             candidate_list_len: r.histogram("paramatch.candidate_list_len"),
+            flushed: MatchStats::default(),
         }
     }
 }
@@ -250,13 +252,14 @@ pub struct MatcherOptions {
     /// `paramatch.*` namespace and emits trace events for budget
     /// exhaustion. `None` (the default) costs one branch per site.
     pub obs: Option<her_obs::Obs>,
-    /// Process-wide score memo ([`SharedScores`]): when set, `h_v`/`h_ρ`
-    /// read through the shared sharded tables instead of a private
-    /// [`ScoreCache`], so all matchers holding the same handle embed
-    /// each distinct label once. Scores are pure memoised functions, so
-    /// results are bit-identical either way; the matcher tracks the
-    /// handle's invalidation generation and drops its derived caches
-    /// (verdicts, selections) when fine-tuning bumps it.
+    /// Process-wide score layer ([`SharedScores`]) behind the matcher's
+    /// private pair memo: when set, misses of the memo read through this
+    /// handle, so all matchers holding it embed each distinct label
+    /// once; when `None` the matcher reads through a handle of its own.
+    /// Scores are pure memoised functions, so results are bit-identical
+    /// either way; the matcher tracks the handle's invalidation
+    /// generation and drops its derived caches (pair memo, verdicts,
+    /// selections) when fine-tuning bumps it.
     pub shared_scores: Option<SharedScores>,
     /// Request-scoped trace context ([`her_obs::ReqCtx`]): minted at
     /// the serving path's admission gate and threaded here so the
@@ -295,14 +298,8 @@ struct Cand {
     hrho: f32,
 }
 
-/// Where this matcher's score memos live: a private per-matcher
-/// [`ScoreCache`] (the default) or a process-wide [`SharedScores`]
-/// handle. Both memoise the same pure functions, so a matcher behaves
-/// identically under either — only the amount of re-embedding differs.
-enum Scores {
-    Private(ScoreCache),
-    Shared(SharedScores),
-}
+/// `ecache`: vertex → its top-k selected descendants with their paths.
+pub type Selections = FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>;
 
 /// Stateful matcher over a fixed `(G_D, G)` pair. Reuse one matcher across
 /// many queries so `cache` and `ecache` amortise (this is what VPair and
@@ -313,16 +310,16 @@ pub struct Matcher<'a> {
     interner: &'a Interner,
     params: &'a Params,
     options: MatcherOptions,
-    scores: Scores,
-    /// The [`SharedScores`] generation this matcher last synced with
-    /// (always 0 with a private cache).
+    /// Private pair memo over the [`SharedScores`] handle in force.
+    scores: ScoreCache,
+    /// The [`SharedScores`] generation this matcher last synced with.
     seen_generation: u64,
     cache: FxHashMap<PairKey, CacheEntry>,
     /// Reverse dependencies: pair → recorded pairs whose `W` contains it.
     rdeps: FxHashMap<PairKey, Vec<PairKey>>,
     /// `ecache` for `G_D` and `G` respectively.
-    sel_d: FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>,
-    sel_g: FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>,
+    sel_d: Selections,
+    sel_g: Selections,
     stats: MatchStats,
     /// Border vertices of `G` (parallel fragments, §VI-B): pairs reaching
     /// them are optimistically assumed valid, PPSim-style.
@@ -336,6 +333,8 @@ pub struct Matcher<'a> {
     /// Resolved metric handles mirroring [`MatchStats`] (None when
     /// `options.obs` is unset).
     probes: Option<Probes>,
+    /// Set by [`Matcher::hold_telemetry`].
+    hold_telemetry: bool,
 }
 
 impl<'a> Matcher<'a> {
@@ -352,22 +351,16 @@ impl<'a> Matcher<'a> {
         params: &'a Params,
         options: MatcherOptions,
     ) -> Self {
-        let probes = options
-            .obs
-            .as_ref()
-            .map(|obs| Probes::resolve(obs, options.ctx));
-        let (scores, seen_generation) = match &options.shared_scores {
-            Some(shared) => (Scores::Shared(shared.clone()), shared.generation()),
-            None => {
-                let mut c = ScoreCache::new();
-                if let Some(obs) = &options.obs {
-                    // Mirror private embeds into the same counter the
-                    // shared layer uses, so ablations compare directly.
-                    c.set_embed_counter(obs.registry.counter("scores.embed_calls"));
-                }
-                (Scores::Private(c), 0)
-            }
+        let probes = options.obs.as_ref().map(Probes::resolve);
+        let shared = match (&options.shared_scores, &options.obs) {
+            (Some(shared), _) => shared.clone(),
+            // An own handle reports into the same `scores.*` counters
+            // a shared one would, so ablations compare directly.
+            (None, Some(obs)) => SharedScores::with_obs_for_workers(obs, 1),
+            (None, None) => SharedScores::new(),
         };
+        let seen_generation = shared.generation();
+        let scores = ScoreCache::over(shared);
         Self {
             gd,
             g,
@@ -385,6 +378,7 @@ impl<'a> Matcher<'a> {
             new_assumptions: Vec::new(),
             exhausted: None,
             probes,
+            hold_telemetry: false,
         }
     }
 
@@ -433,11 +427,7 @@ impl<'a> Matcher<'a> {
     /// parallel engine precomputes `h_r` globally (a preprocessing pass,
     /// §IV "Complexity") so all workers rank descendants identically
     /// regardless of fragment boundaries.
-    pub fn with_selections(
-        mut self,
-        sel_d: FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>,
-        sel_g: FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>,
-    ) -> Self {
+    pub fn with_selections(mut self, sel_d: Selections, sel_g: Selections) -> Self {
         self.sel_d = sel_d;
         self.sel_g = sel_g;
         self
@@ -451,25 +441,26 @@ impl<'a> Matcher<'a> {
     pub fn apply_invalidation(&mut self, u: VertexId, v: VertexId) {
         self.set_verdict(u, v, false, Vec::new());
         let _ = self.cleanup(u, v);
+        self.flush_telemetry();
     }
 
     /// The canonical graph `G_D`.
-    pub fn gd(&self) -> &Graph {
+    pub fn gd(&self) -> &'a Graph {
         self.gd
     }
 
     /// The data graph `G`.
-    pub fn g(&self) -> &Graph {
+    pub fn g(&self) -> &'a Graph {
         self.g
     }
 
     /// The shared interner.
-    pub fn interner(&self) -> &Interner {
+    pub fn interner(&self) -> &'a Interner {
         self.interner
     }
 
     /// The parameters in force.
-    pub fn params(&self) -> &Params {
+    pub fn params(&self) -> &'a Params {
         self.params
     }
 
@@ -504,9 +495,8 @@ impl<'a> Matcher<'a> {
         self.exhausted
     }
 
-    /// The [`SharedScores`] generation this matcher last synced with
-    /// (always 0 when scoring through a private cache). Introspection for
-    /// the invalidation protocol.
+    /// The [`SharedScores`] generation this matcher last synced with.
+    /// Introspection for the invalidation protocol.
     pub fn scores_generation(&self) -> u64 {
         self.seen_generation
     }
@@ -519,19 +509,15 @@ impl<'a> Matcher<'a> {
     }
 
     /// Re-arms a pooled matcher for a new request: fresh budget, fresh
-    /// cancellation token, the new request's trace context (threaded
-    /// into the probes so exhaustion events attribute correctly), and
-    /// the sticky exhaustion state cleared. Verdict cache, lineage
-    /// index and selections survive — that is the point of pooling; a
-    /// stale [`SharedScores`] generation is reconciled lazily at the
-    /// next query entry point as usual.
+    /// cancellation token, the new request's trace context (so exhaustion
+    /// events attribute correctly), and the sticky exhaustion state
+    /// cleared. Pair memo, verdict cache, lineage index and selections
+    /// survive — that is the point of pooling; a stale [`SharedScores`]
+    /// generation is reconciled lazily at the next query entry point.
     pub fn rearm(&mut self, budget: Budget, cancel: CancelToken, ctx: her_obs::ReqCtx) {
         self.options.budget = budget;
         self.options.cancel = cancel;
         self.options.ctx = ctx;
-        if let Some(p) = &mut self.probes {
-            p.ctx = ctx;
-        }
         self.exhausted = None;
     }
 
@@ -543,48 +529,91 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// `h_v` on interned labels via whichever memo this matcher uses.
-    fn score_hv(&mut self, l1: LabelId, l2: LabelId) -> f32 {
-        let (params, interner) = (self.params, self.interner);
-        match &mut self.scores {
-            Scores::Private(c) => c.hv(params, interner, l1, l2),
-            Scores::Shared(s) => s.hv(params, interner, l1, l2),
+    /// Defers telemetry until [`Matcher::publish_telemetry`]: a caller
+    /// about to issue many queries (APair, VPair, a BSP superstep) is
+    /// itself the entry point, and publishes once when it is done.
+    pub fn hold_telemetry(&mut self) {
+        self.hold_telemetry = true;
+    }
+
+    /// [`Matcher::publish_telemetry`] unless a caller holds it.
+    fn flush_telemetry(&mut self) {
+        if !self.hold_telemetry {
+            self.publish_telemetry();
         }
     }
 
-    /// `h_ρ` on two paths via whichever memo this matcher uses.
-    fn score_hrho(&mut self, rho1: &Path, rho2: &Path) -> f32 {
-        let (params, interner) = (self.params, self.interner);
-        match &mut self.scores {
-            Scores::Private(c) => c.hrho(params, interner, rho1, rho2),
-            Scores::Shared(s) => s.hrho(params, interner, rho1, rho2),
-        }
-    }
-
-    /// When scoring through a [`SharedScores`] handle, reconciles with
-    /// its invalidation generation: if fine-tuning elsewhere bumped it,
-    /// this matcher's derived caches (verdicts, lineage index,
-    /// selections) were computed against stale scores and are dropped.
-    /// Called at the non-recursive query entry points only — never
-    /// mid-recursion, where in-flight optimistic entries must survive.
-    fn sync_shared_generation(&mut self) {
-        if let Scores::Shared(s) = &self.scores {
-            let gen = s.generation();
-            if gen != self.seen_generation {
-                self.seen_generation = gen;
-                self.cache.clear();
-                self.rdeps.clear();
-                self.sel_d.clear();
-                self.sel_g.clear();
+    /// Publishes what the hot path only tallied locally: the private
+    /// memo's hit count into the score handle, and (when observability
+    /// is on) the [`MatchStats`] delta since the last publication into
+    /// the `paramatch.*` registry counters. Runs once per non-recursive
+    /// entry point and on drop, never inside the recursion.
+    pub fn publish_telemetry(&mut self) {
+        self.hold_telemetry = false;
+        self.scores.flush_hits();
+        if let Some(p) = &mut self.probes {
+            let d = self.stats.delta_since(&p.flushed);
+            p.flushed = self.stats;
+            for (counter, n) in [
+                (&p.calls, d.calls),
+                (&p.cache_hits, d.cache_hits),
+                (&p.ecache_hits, d.ecache_hits),
+                (&p.early_terminations, d.early_terminations),
+                (&p.cleanups, d.cleanups),
+            ] {
+                if n != 0 {
+                    counter.add(n);
+                }
             }
+            p.cache_entries.set(self.cache.len() as f64);
         }
+    }
+
+    /// `(u', v')` from the two selections: is it σ-compatible, and if so
+    /// what is the `h_ρ` of its witness paths?
+    fn candidate_hrho(&mut self, pu: &Path, vp: VertexId, pv: &Path) -> Option<f32> {
+        let (params, interner) = (self.params, self.interner);
+        let (lu, lv) = (self.gd.label(pu.end()), self.g.label(vp));
+        (self.scores.hv(params, interner, lu, lv) >= params.thresholds.sigma)
+            .then(|| self.scores.hrho(params, interner, pu, pv))
+    }
+
+    /// Drops everything derived from scores: the private pair memo,
+    /// verdicts, the lineage index and selections.
+    fn drop_derived(&mut self) {
+        self.scores.clear();
+        self.cache.clear();
+        self.rdeps.clear();
+        self.sel_d.clear();
+        self.sel_g.clear();
+    }
+
+    /// Reconciles with the score handle's invalidation generation: if
+    /// fine-tuning elsewhere bumped it, this matcher's derived state was
+    /// computed against stale scores and is dropped. Called at the
+    /// non-recursive query entry points only — never mid-recursion,
+    /// where in-flight optimistic entries must survive.
+    fn sync_shared_generation(&mut self) {
+        let gen = self.scores.shared().generation();
+        if gen != self.seen_generation {
+            self.seen_generation = gen;
+            self.drop_derived();
+        }
+    }
+
+    /// Makes room for `additional` more verdicts, so a caller that knows
+    /// its candidate count (APair, a BSP worker) pays no rehash of the
+    /// verdict cache mid-run.
+    pub fn reserve_verdicts(&mut self, additional: usize) {
+        self.cache.reserve(additional);
     }
 
     /// `h_v` between a `G_D` vertex and a `G` vertex (used by candidate
-    /// generation in VPair/APair).
+    /// generation in VPair/APair). Memo hits it tallies are published by
+    /// the next query entry point, or on drop.
     pub fn hv_pair(&mut self, u: VertexId, v: VertexId) -> f32 {
         let (l1, l2) = (self.gd.label(u), self.g.label(v));
-        self.score_hv(l1, l2)
+        self.scores.hv(self.params, self.interner, l1, l2)
     }
 
     /// Module SPair: does `(u, v)` match by parametric simulation?
@@ -602,17 +631,15 @@ impl<'a> Matcher<'a> {
     /// `Exhausted` without doing further work.
     pub fn try_match(&mut self, u: VertexId, v: VertexId) -> Outcome {
         self.sync_shared_generation();
-        if let Some(e) = self.cache.get(&(u, v)) {
-            self.stats.cache_hits += 1;
-            let valid = e.valid;
-            self.probe(|p| p.cache_hits.inc());
-            return if valid {
-                Outcome::Matched
-            } else {
-                Outcome::Unmatched
-            };
-        }
-        match self.para_match(u, v) {
+        let verdict = match self.cache.get(&(u, v)) {
+            Some(e) => {
+                self.stats.cache_hits += 1;
+                Ok(e.valid)
+            }
+            None => self.para_match(u, v),
+        };
+        self.flush_telemetry();
+        match verdict {
             Ok(true) => Outcome::Matched,
             Ok(false) => Outcome::Unmatched,
             Err(reason) => Outcome::Exhausted(reason),
@@ -657,43 +684,30 @@ impl<'a> Matcher<'a> {
 
     /// Top-k selection for a `G_D` vertex (exposed for schema matching).
     pub fn select_d(&mut self, u: VertexId) -> Rc<Vec<(VertexId, Path)>> {
-        if self.options.use_ecache {
-            if let Some(s) = self.sel_d.get(&u) {
-                self.stats.ecache_hits += 1;
-                let s = Rc::clone(s);
-                self.probe(|p| p.ecache_hits.inc());
-                return s;
-            }
-        }
-        let s = Rc::new(
-            self.params
-                .ranker
-                .select(self.gd, u, self.params.thresholds.k),
-        );
-        if self.options.use_ecache {
-            self.sel_d.insert(u, Rc::clone(&s));
-        }
-        s
+        self.select(false, u)
     }
 
     /// Top-k selection for a `G` vertex (exposed for schema matching).
     pub fn select_g(&mut self, v: VertexId) -> Rc<Vec<(VertexId, Path)>> {
-        if self.options.use_ecache {
-            if let Some(s) = self.sel_g.get(&v) {
-                self.stats.ecache_hits += 1;
-                let s = Rc::clone(s);
-                self.probe(|p| p.ecache_hits.inc());
-                return s;
-            }
+        self.select(true, v)
+    }
+
+    /// `h_r` top-k selection of `x` in `G` (`in_g`) or `G_D`, through `ecache`.
+    fn select(&mut self, in_g: bool, x: VertexId) -> Rc<Vec<(VertexId, Path)>> {
+        let (graph, ecache) = if in_g {
+            (self.g, &mut self.sel_g)
+        } else {
+            (self.gd, &mut self.sel_d)
+        };
+        if !self.options.use_ecache {
+            return Rc::new(self.params.ranker.select(graph, x, self.params.thresholds.k));
         }
-        let s = Rc::new(
-            self.params
-                .ranker
-                .select(self.g, v, self.params.thresholds.k),
-        );
-        if self.options.use_ecache {
-            self.sel_g.insert(v, Rc::clone(&s));
+        if let Some(s) = ecache.get(&x) {
+            self.stats.ecache_hits += 1;
+            return Rc::clone(s);
         }
+        let s = Rc::new(self.params.ranker.select(graph, x, self.params.thresholds.k));
+        ecache.insert(x, Rc::clone(&s));
         s
     }
 
@@ -701,11 +715,9 @@ impl<'a> Matcher<'a> {
     /// matching to score path prefixes (appendix D).
     pub fn mrho_seq(&mut self, seq1: &[her_graph::LabelId], seq2: &[her_graph::LabelId]) -> f32 {
         self.sync_shared_generation();
-        let (params, interner) = (self.params, self.interner);
-        match &mut self.scores {
-            Scores::Private(c) => c.mrho(params, interner, seq1, seq2),
-            Scores::Shared(s) => s.mrho(params, interner, seq1, seq2),
-        }
+        let s = self.scores.mrho(self.params, self.interner, seq1, seq2);
+        self.flush_telemetry();
+        s
     }
 
     /// Captures the durable state of this matcher — the verdict cache
@@ -770,29 +782,24 @@ impl<'a> Matcher<'a> {
         // Score memos are derived state and never checkpointed: a restored
         // matcher adopts the shared layer's *current* generation, reading
         // whatever (possibly post-fine-tuning) scores it now holds.
-        if let Scores::Shared(s) = &self.scores {
-            self.seen_generation = s.generation();
-        }
+        self.scores.clear();
+        self.seen_generation = self.scores.shared().generation();
         let entries = self.cache.len();
-        self.probe(|p| p.cache_entries.set(entries as f64));
+        if let Some(p) = &mut self.probes {
+            // Restored counters were mirrored by the run that earned them.
+            p.flushed = ck.stats;
+            p.cache_entries.set(entries as f64);
+        }
     }
 
     /// Invalidates memoised scores and verdicts — required after model
-    /// fine-tuning changes the parameter functions. With a
-    /// [`SharedScores`] handle this also bumps the shared generation, so
-    /// every other matcher on the handle re-syncs at its next query.
+    /// fine-tuning changes the parameter functions. This bumps the score
+    /// handle's generation, so every other matcher on the handle
+    /// re-syncs at its next query.
     pub fn invalidate(&mut self) {
-        match &mut self.scores {
-            Scores::Private(c) => c.invalidate(),
-            Scores::Shared(s) => {
-                s.invalidate();
-                self.seen_generation = s.generation();
-            }
-        }
-        self.cache.clear();
-        self.rdeps.clear();
-        self.sel_d.clear();
-        self.sel_g.clear();
+        self.scores.invalidate();
+        self.seen_generation = self.scores.shared().generation();
+        self.drop_derived();
     }
 
     // ------------------------------------------------------------------
@@ -826,9 +833,8 @@ impl<'a> Matcher<'a> {
                 self.exhausted = Some(r);
                 self.probe(|p| p.exhausted.inc());
                 if let Some(obs) = &self.options.obs {
-                    let ctx = self.probes.as_ref().map_or(self.options.ctx, |p| p.ctx);
                     obs.tracer
-                        .event_ctx("paramatch.exhausted", &format!("{r}"), ctx);
+                        .event_ctx("paramatch.exhausted", &format!("{r}"), self.options.ctx);
                 }
                 Err(r)
             }
@@ -863,9 +869,8 @@ impl<'a> Matcher<'a> {
     fn para_match(&mut self, u: VertexId, v: VertexId) -> Result<bool, ExhaustReason> {
         self.check_budget()?;
         self.stats.calls += 1;
-        self.probe(|p| p.calls.inc());
         let Params { thresholds, .. } = self.params;
-        let sigma = thresholds.sigma;
+        let (sigma, delta) = (thresholds.sigma, thresholds.delta);
 
         // --- Initial stage (lines 1-11) ---
         let hv = self.hv_pair(u, v);
@@ -886,6 +891,15 @@ impl<'a> Matcher<'a> {
                 return Ok(true);
             }
         }
+        let su = self.select_d(u);
+        let sv = self.select_g(v);
+        // Line 12 ahead of line 11: most calls end at the first `MaxSco`
+        // bound, so decide it before building lists or touching `cache`.
+        if self.options.early_termination && self.max_sco(&su, &sv) < delta {
+            self.stats.early_terminations += 1;
+            self.set_verdict(u, v, false, Vec::new());
+            return Ok(false);
+        }
         // Optimistic assumption enabling cyclic interdependence (appendix C).
         self.cache.insert(
             (u, v),
@@ -895,7 +909,7 @@ impl<'a> Matcher<'a> {
             },
         );
 
-        match self.matching_stage(u, v) {
+        match self.matching_stage(u, v, &su, &sv) {
             Ok(verdict) => Ok(verdict),
             Err(reason) => {
                 // Graceful unwind: retract the in-flight optimistic entry
@@ -907,15 +921,43 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// Matching + cleanup stages (Fig. 4 lines 12-32), separated from
+    /// The initial `MaxSco` (line 12) without the candidate lists of line
+    /// 11: Σ over selected `u'` of the `h_ρ` its list would start with —
+    /// the best σ-compatible one when lists are sorted, the first in
+    /// selection order otherwise — added in list order, so the float is
+    /// the one [`Matcher::matching_stage`] derives from the built lists.
+    fn max_sco(&mut self, su: &[(VertexId, Path)], sv: &[(VertexId, Path)]) -> f32 {
+        let mut bound = 0.0f32;
+        for (_, pu) in su {
+            let mut head: Option<f32> = None;
+            for (vp, pv) in sv {
+                let Some(hrho) = self.candidate_hrho(pu, *vp, pv) else {
+                    continue;
+                };
+                if !self.options.sorted_lists {
+                    head = Some(hrho);
+                    break;
+                }
+                if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
+                    head = Some(hrho);
+                }
+            }
+            bound += head.unwrap_or(0.0);
+        }
+        bound
+    }
+
+    /// Matching + cleanup stages (Fig. 4 lines 11-32), separated from
     /// [`Matcher::para_match`] so a budget exhaustion anywhere below can be
     /// intercepted to retract the optimistic cache entry of `(u, v)`.
-    fn matching_stage(&mut self, u: VertexId, v: VertexId) -> Result<bool, ExhaustReason> {
-        let Params { thresholds, .. } = self.params;
-        let (sigma, delta) = (thresholds.sigma, thresholds.delta);
-
-        let su = self.select_d(u);
-        let sv = self.select_g(v);
+    fn matching_stage(
+        &mut self,
+        u: VertexId,
+        v: VertexId,
+        su: &[(VertexId, Path)],
+        sv: &[(VertexId, Path)],
+    ) -> Result<bool, ExhaustReason> {
+        let delta = self.params.thresholds.delta;
 
         // Line 11: candidate lists per selected descendant u', sorted by
         // descending h_ρ of the witness paths.
@@ -923,10 +965,7 @@ impl<'a> Matcher<'a> {
         for (_, pu) in su.iter() {
             let mut l: Vec<Cand> = Vec::new();
             for (vp, pv) in sv.iter() {
-                let lu = self.gd.label(pu.end());
-                let lv = self.g.label(*vp);
-                if self.score_hv(lu, lv) >= sigma {
-                    let hrho = self.score_hrho(pu, pv);
+                if let Some(hrho) = self.candidate_hrho(pu, *vp, pv) {
                     l.push(Cand { v: *vp, hrho });
                 }
             }
@@ -938,17 +977,12 @@ impl<'a> Matcher<'a> {
         }
 
         // --- Matching stage (lines 12-27) ---
-        // Line 12: the best achievable aggregate score.
+        // Line 12: the best achievable aggregate score; the caller has
+        // already checked it against δ.
         let mut max_sco: f32 = lists
             .iter()
             .map(|l| l.first().map(|c| c.hrho).unwrap_or(0.0))
             .sum();
-        if self.options.early_termination && max_sco < delta {
-            self.stats.early_terminations += 1;
-            self.probe(|p| p.early_terminations.inc());
-            self.set_verdict(u, v, false, Vec::new());
-            return Ok(false);
-        }
 
         let mut sum = 0.0f32;
         let mut w: Vec<(PairKey, f32)> = Vec::new();
@@ -965,9 +999,7 @@ impl<'a> Matcher<'a> {
                     let key = (u_desc, cand.v);
                     if let Some(e) = self.cache.get(&key) {
                         self.stats.cache_hits += 1;
-                        let valid = e.valid;
-                        self.probe(|p| p.cache_hits.inc());
-                        valid
+                        e.valid
                     } else {
                         self.para_match(u_desc, cand.v)?
                     }
@@ -1000,7 +1032,6 @@ impl<'a> Matcher<'a> {
                     max_sco = max_sco - cand.hrho + next;
                     if max_sco < delta {
                         self.stats.early_terminations += 1;
-                        self.probe(|p| p.early_terminations.inc());
                         break 'outer;
                     }
                 }
@@ -1032,24 +1063,26 @@ impl<'a> Matcher<'a> {
 
     /// Installs a verdict, maintaining the reverse-dependency index.
     fn set_verdict(&mut self, u: VertexId, v: VertexId, valid: bool, deps: Vec<PairKey>) {
-        // Unregister any previous deps of this pair.
-        if let Some(old) = self.cache.get(&(u, v)) {
-            let old_deps = old.deps.clone();
-            for d in old_deps {
+        if valid && !deps.is_empty() {
+            self.probe(|p| p.lineage_size.observe(deps.len() as u64));
+        }
+        // One probe of the (large) verdict table; `deps` is empty, and
+        // its clone free, for all but the rare confirmed match.
+        let entry = CacheEntry {
+            valid,
+            deps: deps.clone(),
+        };
+        // Unregister any previous deps of this pair, then register the new.
+        if let Some(old) = self.cache.insert((u, v), entry) {
+            for d in old.deps {
                 if let Some(r) = self.rdeps.get_mut(&d) {
                     r.retain(|p| *p != (u, v));
                 }
             }
         }
-        for d in &deps {
-            self.rdeps.entry(*d).or_default().push((u, v));
+        for d in deps {
+            self.rdeps.entry(d).or_default().push((u, v));
         }
-        if valid && !deps.is_empty() {
-            self.probe(|p| p.lineage_size.observe(deps.len() as u64));
-        }
-        self.cache.insert((u, v), CacheEntry { valid, deps });
-        let entries = self.cache.len();
-        self.probe(|p| p.cache_entries.set(entries as f64));
     }
 
     /// Re-runs `ParaMatch` on every recorded pair that depended on the
@@ -1071,7 +1104,6 @@ impl<'a> Matcher<'a> {
                 .unwrap_or(false);
             if needs_recheck {
                 self.stats.cleanups += 1;
-                self.probe(|p| p.cleanups.inc());
                 // Unset and recompute.
                 self.set_verdict(up, vp, false, Vec::new());
                 self.cache.remove(&(up, vp));
@@ -1084,6 +1116,12 @@ impl<'a> Matcher<'a> {
             }
         }
         Ok(())
+    }
+}
+
+impl Drop for Matcher<'_> {
+    fn drop(&mut self) {
+        self.publish_telemetry();
     }
 }
 
@@ -1563,11 +1601,16 @@ mod tests {
             // generation; matcher `b` notices at its next query and
             // re-derives instead of serving its (potentially stale)
             // cached verdict.
+            assert!(b.scores.hv_entries() > 0, "b's private memo is warm");
             a.invalidate();
             assert_eq!(shared.generation(), 1);
+            assert_eq!(shared.hv_entries(), 0);
             let calls = b.stats().calls;
             assert!(b.is_match(u, v), "unchanged params, same verdict");
             assert!(b.stats().calls > calls, "verdict re-derived, not served stale");
+            // ...and re-derived from the handle, not from b's private pair
+            // memo: the sync dropped that along with the verdicts.
+            assert!(shared.hv_entries() > 0, "private memo survived the bump");
             ck
         };
 
@@ -1594,5 +1637,256 @@ mod tests {
         shared.invalidate();
         assert_eq!(r.cached(u, v), Some(true));
         assert!(!r.is_match(u, v), "generation sync clears restored verdicts");
+    }
+
+    /// Every combination of the three ablation toggles.
+    fn toggle_grid() -> Vec<MatcherOptions> {
+        (0..8u8)
+            .map(|bits| MatcherOptions {
+                early_termination: bits & 1 == 0,
+                use_ecache: bits & 2 == 0,
+                sorted_lists: bits & 4 == 0,
+                ..Default::default()
+            })
+            .collect()
+    }
+
+    /// The appendix-C cycle of `interdependent_cycle_with_cleanup`.
+    fn cycle_fixture() -> (Graph, Graph, Interner) {
+        let mut b = GraphBuilder::new();
+        let u = b.add_vertex("a");
+        let u1 = b.add_vertex("b");
+        let u2 = b.add_vertex("c");
+        let u3 = b.add_vertex("poison");
+        b.add_edge(u, u1, "e");
+        b.add_edge(u1, u2, "e");
+        b.add_edge(u2, u1, "e");
+        b.add_edge(u1, u3, "f");
+        let (gd, i) = b.build();
+        let mut b2 = GraphBuilder::with_interner(i);
+        let v = b2.add_vertex("a");
+        let v1 = b2.add_vertex("b");
+        let v2 = b2.add_vertex("c");
+        let v3 = b2.add_vertex("different");
+        b2.add_edge(v, v1, "e");
+        b2.add_edge(v1, v2, "e");
+        b2.add_edge(v2, v1, "e");
+        b2.add_edge(v1, v3, "f");
+        let (g, interner) = b2.build();
+        (gd, g, interner)
+    }
+
+    /// Six two-level entities with overlapping values on both sides (so
+    /// descendant verdicts are shared between roots) plus near-miss
+    /// decoys in `G`: exercises cache hits, `ecache`, both early
+    /// terminations and the cleanup stage.
+    fn nested_fixture() -> (Graph, Graph, Interner) {
+        let colors = ["white", "red"];
+        let mut b = GraphBuilder::new();
+        for i in 0..6 {
+            let root = b.add_vertex("item");
+            let name = b.add_vertex(&format!("name {}", i % 3));
+            let color = b.add_vertex(colors[i % 2]);
+            let brand = b.add_vertex("brand");
+            let label = b.add_vertex(&format!("maker {}", i % 2));
+            b.add_edge(root, name, "name");
+            b.add_edge(root, color, "color");
+            b.add_edge(root, brand, "brand");
+            b.add_edge(brand, label, "label");
+            b.add_edge(brand, root, "makes");
+        }
+        let (gd, i) = b.build();
+        let mut b2 = GraphBuilder::with_interner(i);
+        for i in 0..8 {
+            let root = b2.add_vertex("item");
+            let name = b2.add_vertex(&format!("name {}", i % 4));
+            let color = b2.add_vertex(colors[(i / 2) % 2]);
+            let brand = b2.add_vertex("brand");
+            let label = b2.add_vertex(&format!("maker {}", i % 3));
+            b2.add_edge(root, name, "hasName");
+            b2.add_edge(root, color, "hasColor");
+            b2.add_edge(root, brand, "madeBy");
+            b2.add_edge(brand, label, "label");
+            b2.add_edge(brand, root, "makes");
+        }
+        let (g, interner) = b2.build();
+        (gd, g, interner)
+    }
+
+    type Trace = Vec<(PairKey, bool, Vec<PairKey>)>;
+
+    /// All-pairs over a fixture on one matcher: every verdict and lineage
+    /// set in query order.
+    fn all_pairs_trace(m: &mut Matcher<'_>) -> Trace {
+        let (gd, g) = (m.gd(), m.g());
+        let mut out = Vec::new();
+        for u in gd.vertices() {
+            for v in g.vertices() {
+                let verdict = m.is_match(u, v);
+                let lineage = m.lineage(u, v).map(<[PairKey]>::to_vec).unwrap_or_default();
+                out.push(((u, v), verdict, lineage));
+            }
+        }
+        out
+    }
+
+    /// FNV-1a over every verdict and lineage pair of a trace.
+    fn trace_digest(trace: &Trace) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u32| {
+            for b in x.to_le_bytes() {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for ((u, v), verdict, lineage) in trace {
+            eat(u.0);
+            eat(v.0);
+            eat(u32::from(*verdict));
+            for (a, b) in lineage {
+                eat(a.0);
+                eat(b.0);
+            }
+        }
+        h
+    }
+
+    /// Verdicts, lineage sets and `MatchStats` captured at the commit
+    /// before the score tiers and the bound-before-build shortcut landed
+    /// (acd788c), under all eight toggle combinations: the rewrite makes
+    /// each call cheaper, it must not change what a call decides or
+    /// counts. Per fixture: the trace digest (the same under every
+    /// combination) and `[calls, cache_hits, early_terminations,
+    /// cleanups, ecache_hits]` with `early_termination` on and off;
+    /// `sorted_lists` moved nothing and `use_ecache = false` only zeroes
+    /// `ecache_hits`.
+    #[test]
+    fn verdicts_lineage_and_stats_equal_the_parent_commit() {
+        let plain = || {
+            let f = fixture();
+            (f.0, f.1, f.2)
+        };
+        type Golden = (&'static str, (Graph, Graph, Interner), Params, u64, [u64; 5], [u64; 5]);
+        let golden: Vec<Golden> = vec![
+            ("fixture/a", plain(), params(0.9, 0.1, 5), 0xa39c_97bd_b322_29d5,
+                [18, 1, 1, 0, 1], [18, 1, 0, 0, 1]),
+            ("fixture/c", plain(), params(0.9, 100.0, 5), 0x53a7_d622_9c17_db04,
+                [18, 0, 2, 0, 1], [18, 2, 0, 0, 1]),
+            ("cycle/a", cycle_fixture(), params(0.95, 0.05, 5), 0x549d_7695_fb9f_9634,
+                [16, 3, 0, 0, 0], [16, 3, 0, 0, 0]),
+            ("cycle/b", cycle_fixture(), params(0.95, 0.3, 5), 0xa78d_30b2_71f8_2ea5,
+                [16, 0, 3, 0, 0], [16, 3, 0, 0, 0]),
+            ("nested/a", nested_fixture(), params(0.9, 0.05, 4), 0xa8a2_721f_a72d_7295,
+                [1200, 96, 0, 0, 164], [1200, 96, 0, 0, 164]),
+            ("nested/c", nested_fixture(), params(0.9, 0.3, 3), 0xff35_e6d0_8e25_040c,
+                [1200, 87, 73, 0, 164], [1209, 162, 0, 9, 182]),
+        ];
+        for (name, (gd, g, interner), p, digest, with_et, without_et) in &golden {
+            for opts in toggle_grid() {
+                let mut want = if opts.early_termination { *with_et } else { *without_et };
+                if !opts.use_ecache {
+                    want[4] = 0;
+                }
+                let mut m = Matcher::with_options(gd, g, interner, p, opts.clone());
+                let trace = all_pairs_trace(&mut m);
+                let s = m.stats();
+                let got = [s.calls, s.cache_hits, s.early_terminations, s.cleanups, s.ecache_hits];
+                assert_eq!(got, want, "{name} stats under {opts:?}");
+                assert_eq!(trace_digest(&trace), *digest, "{name} verdicts/lineage under {opts:?}");
+            }
+        }
+    }
+
+    /// One score read path, whoever owns the handle behind it: a matcher
+    /// on its own handle, one on a cold shared handle, one on a shared
+    /// handle another matcher already filled, and a warm matcher whose
+    /// verdicts were dropped all produce the same trace and the same
+    /// `MatchStats` — under every toggle combination.
+    #[test]
+    fn own_shared_and_warm_matchers_agree_under_every_toggle() {
+        let (gd, g, interner) = nested_fixture();
+        let p = params(0.9, 0.3, 3);
+        for opts in toggle_grid() {
+            let mut own = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+            let want = all_pairs_trace(&mut own);
+            let shared = SharedScores::new();
+            for round in ["cold shared handle", "warm shared handle"] {
+                let mut m = Matcher::with_options(
+                    &gd,
+                    &g,
+                    &interner,
+                    &p,
+                    MatcherOptions {
+                        shared_scores: Some(shared.clone()),
+                        ..opts.clone()
+                    },
+                );
+                assert_eq!(all_pairs_trace(&mut m), want, "{round}, {opts:?}");
+                assert_eq!(m.stats(), own.stats(), "{round}, {opts:?}");
+                // Warm private memo, cold verdicts: same decisions, same
+                // counters again.
+                let before = m.stats();
+                m.cache.clear();
+                m.rdeps.clear();
+                assert_eq!(all_pairs_trace(&mut m), want, "{round} re-run, {opts:?}");
+                let mut delta = m.stats().delta_since(&before);
+                let mut fresh = own.stats();
+                // Selections survived, so the re-run's top-k reads all hit.
+                delta.ecache_hits = 0;
+                fresh.ecache_hits = 0;
+                assert_eq!(delta, fresh, "{round} re-run, {opts:?}");
+            }
+        }
+    }
+
+    /// Lock-traffic guard: the hot loop must not take a score-shard lock
+    /// per lookup. A cold run takes a small constant number per *distinct*
+    /// score it has to fetch; once the private memo is warm, re-deciding
+    /// every pair takes none at all.
+    #[test]
+    fn warm_matcher_takes_no_shard_locks() {
+        if !her_sync::TRACKING {
+            return;
+        }
+        let shard_locks = || her_sync::acquisitions(her_sync::rank::SCORES_SHARD);
+        let (gd, g, interner) = nested_fixture();
+        let p = params(0.9, 0.3, 3);
+        let us: Vec<VertexId> = gd.vertices().collect();
+        let shared = SharedScores::new();
+        let mut m = Matcher::with_options(
+            &gd,
+            &g,
+            &interner,
+            &p,
+            MatcherOptions {
+                shared_scores: Some(shared.clone()),
+                ..Default::default()
+            },
+        );
+        let before = shard_locks();
+        let first = crate::apair::apair(&mut m, &us, None);
+        let cold = shard_locks() - before;
+        let lookups = shared.shared_hits();
+        let distinct = m.scores.hv_entries() as u64;
+        assert!(distinct > 0 && lookups > 20 * distinct, "fixture too small to tell");
+        // Per distinct h_v: memo read, two label vectors (read + write
+        // each), memo write; the (fewer) distinct M_ρ pairs cost the same
+        // over sequences, plus interning each sequence once.
+        assert!(
+            cold <= 16 * distinct,
+            "cold apair took {cold} shard locks for {distinct} distinct h_v pairs"
+        );
+
+        // Warm verdicts: candidate generation still reads h_v per pair.
+        let before = shard_locks();
+        assert_eq!(crate::apair::apair(&mut m, &us, None), first);
+        assert_eq!(shard_locks() - before, 0, "warm apair took shard locks");
+
+        // Warm memo, cold verdicts: the full ParaMatch loop runs again.
+        m.cache.clear();
+        m.rdeps.clear();
+        let before = shard_locks();
+        assert_eq!(crate::apair::apair(&mut m, &us, None), first);
+        assert_eq!(shard_locks() - before, 0, "warm ParaMatch loop took shard locks");
+        assert!(shared.shared_hits() > 2 * lookups, "private hits are still tallied");
     }
 }

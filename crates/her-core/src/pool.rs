@@ -1,8 +1,8 @@
 //! Warm-matcher checkout/checkin pool for the serving path.
 //!
 //! A [`crate::paramatch::Matcher`] accumulates state worth keeping —
-//! the verdict `cache`, the lineage reverse-dependency index, and the
-//! top-k selections — yet the serving path historically built a fresh
+//! the verdict `cache`, the lineage reverse-dependency index, the
+//! top-k selections and the private score pair memo — yet the serving path historically built a fresh
 //! matcher per request and threw all of it away. [`MatcherPool`] keeps
 //! a bounded free list of warm matchers: a request checks one out
 //! ([`MatcherPool::checkout`]), runs under a fresh budget/cancel/ctx
@@ -12,13 +12,13 @@
 //! Coherence rides on the existing [`SharedScores`] generation
 //! protocol: `learn`/`refine` bump the shared generation, a checked-out
 //! matcher reconciles lazily at its next query entry point (dropping
-//! its derived caches), and the pool *counts* that reconciliation as a
+//! its derived caches, pair memo included), and the pool *counts* that reconciliation as a
 //! rebuild by comparing generations at checkout. Results are therefore
 //! bit-identical to fresh-matcher serving — pooling is pure reuse.
 //!
 //! The free list sits behind a `core.matcher_pool`-ranked lock held
 //! only for a pop/push; matchers are moved out before any matching (and
-//! its `core.scores_shard` locks) begins.
+//! the `core.scores_shard` locks its cold reads take) begins.
 //!
 //! [`SharedScores`]: crate::shared_scores::SharedScores
 

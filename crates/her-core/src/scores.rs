@@ -1,101 +1,81 @@
-//! Memoised evaluation of the score functions `h_v` and `h_ρ`.
+//! Private, lock-free memo of the score functions `h_v` and `h_ρ`.
 //!
 //! §IV notes that once training completes, scoring is linear-time; the
 //! matching algorithms then call `h_v` and `h_ρ` millions of times on a
 //! much smaller set of *distinct* label pairs and path label sequences.
-//! [`ScoreCache`] memoises per interned label / label-sequence so the hot
-//! loop of `ParaMatch` performs hash lookups instead of re-embedding.
+//! [`ScoreCache`] is the tier the hot loop of `ParaMatch` reads: plain
+//! hash maps keyed by interned ids and owned by one matcher, so a warm
+//! lookup takes no lock, does no atomic read-modify-write and allocates
+//! nothing. A miss reads through the [`SharedScores`] handle behind it,
+//! which keeps the expensive work exactly-once (DESIGN.md §4f).
 
 use crate::params::Params;
+use crate::shared_scores::{hv_key, identical_labels, SharedScores};
 use her_graph::hash::FxHashMap;
 use her_graph::{Interner, LabelId, Path};
-use std::sync::Arc as Rc;
 
-/// Memo tables for `h_v` and `h_ρ` over one shared interner.
+/// This memo's id of one edge-label sequence: `M_ρ` scores are keyed by
+/// two of these, so a lookup never builds an owned key.
+pub type SeqId = u32;
+
+/// Pair memo for `h_v` and `h_ρ` in front of a [`SharedScores`] handle.
 pub struct ScoreCache {
-    label_vecs: FxHashMap<LabelId, Rc<Vec<f32>>>,
+    shared: SharedScores,
     hv_memo: FxHashMap<(LabelId, LabelId), f32>,
-    path_vecs: FxHashMap<Vec<LabelId>, Rc<Vec<f32>>>,
-    mrho_memo: FxHashMap<(Vec<LabelId>, Vec<LabelId>), f32>,
-    embed_calls: u64,
-    obs_embed: Option<Rc<her_obs::Counter>>,
+    /// Sequences interned on first sight. Not scores: ids survive
+    /// [`Self::clear`], and are never reused.
+    seq_ids: FxHashMap<Box<[LabelId]>, SeqId>,
+    mrho_memo: FxHashMap<(SeqId, SeqId), f32>,
+    /// Hits served privately since the last [`Self::flush_hits`].
+    hits: u64,
 }
 
 impl ScoreCache {
-    /// Creates empty memo tables.
+    /// A memo over its own, unshared [`SharedScores`] handle.
     pub fn new() -> Self {
+        Self::over(SharedScores::new())
+    }
+
+    /// A memo reading through `shared` on a miss.
+    pub fn over(shared: SharedScores) -> Self {
         Self {
-            label_vecs: FxHashMap::default(),
+            shared,
             hv_memo: FxHashMap::default(),
-            path_vecs: FxHashMap::default(),
+            seq_ids: FxHashMap::default(),
             mrho_memo: FxHashMap::default(),
-            embed_calls: 0,
-            obs_embed: None,
+            hits: 0,
         }
     }
 
-    /// Mirrors every `M_v` embedding computed by this cache into the
-    /// given counter (typically `scores.embed_calls`), so private and
-    /// shared caches are comparable in telemetry.
-    pub fn set_embed_counter(&mut self, c: Rc<her_obs::Counter>) {
-        self.obs_embed = Some(c);
+    /// The handle this memo reads through.
+    pub fn shared(&self) -> &SharedScores {
+        &self.shared
     }
 
-    /// Number of `M_v` label embeddings this cache has computed.
-    pub fn embed_calls(&self) -> u64 {
-        self.embed_calls
-    }
-
-    /// `h_v(u, v) = M_v(L(u), L(v))` on interned labels.
-    ///
-    /// When the queried pair itself carries a fine-tuned override this
-    /// routes through the string interface so feedback is honoured; all
-    /// other pairs keep the cached-embedding path (and the identical-label
-    /// fast path) regardless of how many *unrelated* overrides exist.
+    /// `h_v(u, v) = M_v(L(u), L(v))` on interned labels — same contract
+    /// as [`SharedScores::hv`].
     pub fn hv(&mut self, params: &Params, interner: &Interner, l1: LabelId, l2: LabelId) -> f32 {
-        if l1 == l2 && !params.mv.is_overridden(interner.resolve(l1), interner.resolve(l1)) {
-            // Identical interned labels always score 1 unless this exact
-            // pair was fine-tuned (e.g. annotated as a false positive).
+        if identical_labels(params, interner, l1, l2) {
             return 1.0;
         }
-        let key = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
+        let key = hv_key(l1, l2);
         if let Some(&s) = self.hv_memo.get(&key) {
+            self.hits += 1;
             return s;
         }
-        let s = if params.mv.is_overridden(interner.resolve(l1), interner.resolve(l2)) {
-            params
-                .mv
-                .similarity(interner.resolve(l1), interner.resolve(l2))
-        } else {
-            let v1 = self.label_vec(params, interner, l1);
-            let v2 = self.label_vec(params, interner, l2);
-            params.mv.similarity_from_vecs(&v1, &v2)
-        };
+        let s = self.shared.hv(params, interner, l1, l2);
         self.hv_memo.insert(key, s);
         s
     }
 
-    fn label_vec(&mut self, params: &Params, interner: &Interner, l: LabelId) -> Rc<Vec<f32>> {
-        if let Some(v) = self.label_vecs.get(&l) {
-            return Rc::clone(v);
+    /// The id of `seq` in this memo, interned on first sight.
+    pub fn seq_id(&mut self, seq: &[LabelId]) -> SeqId {
+        if let Some(&id) = self.seq_ids.get(seq) {
+            return id;
         }
-        let v = Rc::new(params.mv.embed(interner.resolve(l)));
-        self.embed_calls += 1;
-        if let Some(c) = &self.obs_embed {
-            c.inc();
-        }
-        self.label_vecs.insert(l, Rc::clone(&v));
-        v
-    }
-
-    fn path_vec(&mut self, params: &Params, interner: &Interner, seq: &[LabelId]) -> Rc<Vec<f32>> {
-        if let Some(v) = self.path_vecs.get(seq) {
-            return Rc::clone(v);
-        }
-        let labels: Vec<&str> = seq.iter().map(|&l| interner.resolve(l)).collect();
-        let v = Rc::new(params.mrho.encode(&labels));
-        self.path_vecs.insert(seq.to_vec(), Rc::clone(&v));
-        v
+        let id = self.seq_ids.len() as SeqId;
+        self.seq_ids.insert(seq.into(), id);
+        id
     }
 
     /// `M_ρ` on two edge-label sequences (undivided).
@@ -106,14 +86,13 @@ impl ScoreCache {
         seq1: &[LabelId],
         seq2: &[LabelId],
     ) -> f32 {
-        let key = (seq1.to_vec(), seq2.to_vec());
-        if let Some(&s) = self.mrho_memo.get(&key) {
+        let ids = (self.seq_id(seq1), self.seq_id(seq2));
+        if let Some(&s) = self.mrho_memo.get(&ids) {
+            self.hits += 1;
             return s;
         }
-        let v1 = self.path_vec(params, interner, seq1);
-        let v2 = self.path_vec(params, interner, seq2);
-        let s = params.mrho.score_vecs(&v1, &v2);
-        self.mrho_memo.insert(key, s);
+        let s = self.shared.mrho(params, interner, seq1, seq2);
+        self.mrho_memo.insert(ids, s);
         s
     }
 
@@ -132,23 +111,44 @@ impl ScoreCache {
         self.mrho(params, interner, rho1.edge_labels(), rho2.edge_labels()) / denom
     }
 
-    /// Drops everything — required after model fine-tuning.
-    pub fn invalidate(&mut self) {
-        self.label_vecs.clear();
+    /// Drops the private pair scores — the matcher's half of the
+    /// generation protocol, called wherever it drops its verdict cache.
+    pub fn clear(&mut self) {
         self.hv_memo.clear();
-        self.path_vecs.clear();
         self.mrho_memo.clear();
     }
 
-    /// Number of memoised `h_v` entries (introspection).
+    /// Drops everything on both tiers and bumps the shared generation —
+    /// required after model fine-tuning.
+    pub fn invalidate(&mut self) {
+        self.shared.invalidate();
+        self.clear();
+    }
+
+    /// Credits the privately-served hits to the shared handle's
+    /// `shared_hits` in one batch (also run on drop).
+    pub fn flush_hits(&mut self) {
+        if self.hits != 0 {
+            self.shared.add_hits(std::mem::take(&mut self.hits));
+        }
+    }
+
+    /// Number of privately memoised `h_v` entries (introspection).
     pub fn hv_entries(&self) -> usize {
         self.hv_memo.len()
     }
+
 }
 
 impl Default for ScoreCache {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for ScoreCache {
+    fn drop(&mut self) {
+        self.flush_hits();
     }
 }
 
@@ -213,18 +213,18 @@ mod tests {
         let foam = i.get("phylon foam").unwrap();
         let baseline = c.hv(&p, &i, germany, foam);
         c.invalidate();
-        let embeds_before = c.embed_calls();
+        let embeds_before = c.shared().embed_calls();
         // Fine-tune a completely unrelated pair.
         p.mv.fine_tune_pair("made_in", "factorySite", 1.0);
         // Identical labels still take the fast path: score 1, no memo
         // entry, no embedding computed.
         assert_eq!(c.hv(&p, &i, germany, germany), 1.0);
         assert_eq!(c.hv_entries(), 0);
-        assert_eq!(c.embed_calls(), embeds_before);
+        assert_eq!(c.shared().embed_calls(), embeds_before);
         // Unrelated non-identical pairs still use cached embeddings and
         // score exactly as before the override existed.
         assert_eq!(c.hv(&p, &i, germany, foam), baseline);
-        assert_eq!(c.embed_calls(), embeds_before + 2);
+        assert_eq!(c.shared().embed_calls(), embeds_before + 2);
     }
 
     /// The override still wins for the annotated pair itself — including
@@ -253,7 +253,7 @@ mod tests {
         let _ = c.hv(&p, &i, a, b);
         let _ = c.hv(&p, &i, a, d);
         let _ = c.hv(&p, &i, b, d);
-        assert_eq!(c.embed_calls(), 3, "three distinct labels, one embed each");
+        assert_eq!(c.shared().embed_calls(), 3, "three distinct labels, one embed each");
     }
 
     #[test]

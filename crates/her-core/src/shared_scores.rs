@@ -1,57 +1,48 @@
-//! Process-wide shared scoring layer.
+//! Process-wide shared scoring layer: the *exactly-once* tier.
 //!
 //! §IV observes that after training, `h_v`/`h_ρ` are called millions of
 //! times over a much smaller set of *distinct* label pairs and path
-//! label sequences. [`crate::scores::ScoreCache`] memoises those, but is
-//! private to each [`crate::paramatch::Matcher`] — so every BSP/async
-//! worker re-embeds the same vocabulary from scratch, multiplying
-//! embedding work by the worker count.
-//!
-//! [`SharedScores`] is the thread-safe, sharded, read-through variant:
-//! one handle (cheaply cloneable, `Arc` inside) holds `SHARD_COUNT`
-//! `RwLock`-guarded memo tables keyed by interned [`LabelId`]s / label
-//! sequences over one shared interner. Reads take a shard read lock;
-//! misses compute and insert under the shard write lock, so each
-//! distinct label is embedded **once per process** no matter how many
-//! matchers share the handle.
-//!
-//! Two extra facilities keep sharing correct and measurable:
+//! label sequences. Scores are memoised in two tiers (DESIGN.md §4f):
+//! every [`crate::paramatch::Matcher`] owns a private
+//! [`crate::scores::ScoreCache`] that serves its hot loop with no lock,
+//! atomic or allocation, and a private miss reads through a
+//! [`SharedScores`] handle (cheaply cloneable, `Arc` inside): sharded
+//! `RwLock`-guarded tables keyed by interned [`LabelId`]s / label
+//! sequences over one shared interner. The handle keeps what is
+//! expensive and worth computing **once per process** however many
+//! matchers share it: label embeddings, path encodings and the scores
+//! derived from them.
 //!
 //! - **Generation-based invalidation.** Fine-tuning (`refine`) mutates
 //!   the models, so memoised scores go stale. [`SharedScores::invalidate`]
 //!   clears every shard and bumps a monotonic generation counter;
 //!   matchers record the generation they last synced with and drop
-//!   their *derived* caches (verdicts, selections) when it moves. The
-//!   same mechanism covers checkpoint/restore: restored matchers adopt
-//!   the current generation and rebuild derived state lazily, which
-//!   matches the checkpoint contract (memo tables are never captured).
+//!   their *derived* state (private pair memo, verdicts, selections)
+//!   when it moves. Checkpoint/restore rides on the same mechanism:
+//!   memo tables are never captured, restored matchers adopt the
+//!   current generation and rebuild derived state lazily.
 //! - **Accounting.** The handle counts `M_v` embedding computations and
-//!   memo hits; with [`SharedScores::with_obs`] these mirror into the
-//!   `scores.embed_calls` / `scores.shared_hits` registry counters that
-//!   the bench harness and CI assert on.
-//!
-//! ## Equivalence
-//!
-//! `SentenceModel::embed` and `PathSimModel::encode`/`score_vecs` are
-//! deterministic pure functions of the (frozen-during-matching) model
-//! parameters, and `SharedScores` is a pure memo over them: any
-//! interleaving of readers and writers stores and returns the same
-//! floats a private `ScoreCache` would. Matching results are therefore
-//! bit-identical with or without sharing — Theorem 3's equivalence of
-//! parallel and sequential fixpoints is untouched (see DESIGN.md §4f).
+//!   memo hits on both tiers ([`SharedScores::add_hits`]), mirrored by
+//!   [`SharedScores::with_obs_for_workers`] into the `scores.embed_calls`
+//!   / `scores.shared_hits` counters the bench harness and CI assert on.
+//! - **Equivalence.** `SentenceModel::embed` and `PathSimModel::encode`/
+//!   `score_vecs` are deterministic pure functions of the (frozen during
+//!   matching) model parameters and both tiers are pure memos over them:
+//!   any interleaving of readers and writers stores and returns the same
+//!   floats, so matching is bit-identical whether a matcher reads
+//!   through its own handle or a shared one (Theorem 3 is untouched).
 
 use crate::params::Params;
 use her_graph::hash::{FxHashMap, FxHasher};
-use her_graph::{Interner, LabelId, Path};
+use her_graph::{Interner, LabelId};
 use her_sync::{rank, RwLock};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default shard count: a small power of two comfortably above typical
-/// worker counts, so concurrent lookups rarely contend on the same lock.
-/// Larger deployments size the array from the worker count instead — see
-/// [`SharedScores::for_workers`].
+/// worker counts, so concurrent lookups rarely contend on the same lock
+/// (larger deployments use [`SharedScores::for_workers`]).
 const DEFAULT_SHARD_COUNT: usize = 16;
 
 /// Shards for `workers` concurrent readers: the next power of two at or
@@ -62,16 +53,16 @@ fn shards_for_workers(workers: usize) -> usize {
     workers.next_power_of_two().max(DEFAULT_SHARD_COUNT)
 }
 
-/// A batch of freshly-encoded path vectors, keyed by their sequences.
-type EncodedPaths<'a> = Vec<(&'a Vec<LabelId>, Arc<Vec<f32>>)>;
+type Seq = Box<[LabelId]>;
 
-/// One shard's memo tables — the same four maps as `ScoreCache`.
+/// One shard's tables. `M_ρ` scores nest by first then second sequence,
+/// so a lookup borrows both slices instead of building an owned key.
 #[derive(Default)]
 struct Shard {
     label_vecs: FxHashMap<LabelId, Arc<Vec<f32>>>,
     hv_memo: FxHashMap<(LabelId, LabelId), f32>,
-    path_vecs: FxHashMap<Vec<LabelId>, Arc<Vec<f32>>>,
-    mrho_memo: FxHashMap<(Vec<LabelId>, Vec<LabelId>), f32>,
+    path_vecs: FxHashMap<Seq, Arc<Vec<f32>>>,
+    mrho_memo: FxHashMap<Seq, FxHashMap<Seq, f32>>,
 }
 
 struct Inner {
@@ -110,6 +101,37 @@ impl Default for SharedScores {
     }
 }
 
+/// Identical interned labels always score 1 unless this exact pair was
+/// fine-tuned (e.g. annotated as a false positive). The check is scoped
+/// to the queried pair, so unrelated overrides leave the fast path on.
+pub(crate) fn identical_labels(
+    params: &Params,
+    interner: &Interner,
+    l1: LabelId,
+    l2: LabelId,
+) -> bool {
+    l1 == l2 && !params.mv.is_overridden(interner.resolve(l1), interner.resolve(l1))
+}
+
+/// `f` over `items` on up to `threads` scoped threads, in input order.
+fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let chunk = items.len().div_ceil(threads.max(1)).max(1);
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| s.spawn(move || c.iter().map(f).collect::<Vec<R>>()))
+            .collect();
+        let parts = handles.into_iter().map(|h| h.join().expect("prewarm thread panicked"));
+        parts.flatten().collect()
+    })
+}
+
+/// `h_v` is symmetric: one memo entry per unordered label pair.
+pub(crate) fn hv_key(l1: LabelId, l2: LabelId) -> (LabelId, LabelId) {
+    if l1 <= l2 { (l1, l2) } else { (l2, l1) }
+}
+
 impl SharedScores {
     /// Creates an empty shared cache (no telemetry attached, default
     /// shard count).
@@ -123,15 +145,8 @@ impl SharedScores {
         Self::build(None, None, shards_for_workers(workers))
     }
 
-    /// Creates an empty shared cache whose embed/hit counts also feed
-    /// the `scores.embed_calls` / `scores.shared_hits` counters of the
-    /// given registry.
-    pub fn with_obs(obs: &her_obs::Obs) -> Self {
-        Self::with_obs_for_workers(obs, 0)
-    }
-
-    /// [`SharedScores::with_obs`] with the shard array sized for
-    /// `workers` concurrent readers.
+    /// [`SharedScores::for_workers`] whose embed/hit counts also feed the
+    /// `scores.embed_calls` / `scores.shared_hits` counters of `obs`.
     pub fn with_obs_for_workers(obs: &her_obs::Obs, workers: usize) -> Self {
         Self::build(
             Some(obs.registry.counter("scores.embed_calls")),
@@ -179,23 +194,29 @@ impl SharedScores {
         }
     }
 
-    fn count_hit(&self) {
-        self.inner.shared_hits.fetch_add(1, Ordering::Relaxed);
+    /// Credits `n` memo hits to this handle. Shared-table hits count one
+    /// at a time; a [`crate::scores::ScoreCache`] tallies its private
+    /// hits locally and credits them in one batch per matcher entry
+    /// point, so the hot loop never touches this (contended) cache line.
+    pub fn add_hits(&self, n: u64) {
+        self.inner.shared_hits.fetch_add(n, Ordering::Relaxed);
         if let Some(c) = &self.inner.obs_hits {
-            c.inc();
+            c.add(n);
         }
     }
 
-    /// `h_v` on interned labels — same contract as `ScoreCache::hv`,
-    /// including per-pair override scoping.
+    /// `h_v` on interned labels, including per-pair override scoping:
+    /// when the queried pair itself carries a fine-tuned override this
+    /// routes through the string interface so feedback is honoured; all
+    /// other pairs use the cached embeddings.
     pub fn hv(&self, params: &Params, interner: &Interner, l1: LabelId, l2: LabelId) -> f32 {
-        if l1 == l2 && !params.mv.is_overridden(interner.resolve(l1), interner.resolve(l1)) {
+        if identical_labels(params, interner, l1, l2) {
             return 1.0;
         }
-        let key = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
+        let key = hv_key(l1, l2);
         let shard = self.shard(&key);
         if let Some(&s) = shard.read().expect("scores shard poisoned").hv_memo.get(&key) {
-            self.count_hit();
+            self.add_hits(1);
             return s;
         }
         let s = if params.mv.is_overridden(interner.resolve(l1), interner.resolve(l2)) {
@@ -224,7 +245,7 @@ impl SharedScores {
     fn label_vec(&self, params: &Params, interner: &Interner, l: LabelId) -> Arc<Vec<f32>> {
         let shard = self.shard(&l);
         if let Some(v) = shard.read().expect("scores shard poisoned").label_vecs.get(&l) {
-            self.count_hit();
+            self.add_hits(1);
             return Arc::clone(v);
         }
         let mut w = shard.write().expect("scores shard poisoned");
@@ -242,7 +263,7 @@ impl SharedScores {
     fn path_vec(&self, params: &Params, interner: &Interner, seq: &[LabelId]) -> Arc<Vec<f32>> {
         let shard = self.shard(seq);
         if let Some(v) = shard.read().expect("scores shard poisoned").path_vecs.get(seq) {
-            self.count_hit();
+            self.add_hits(1);
             return Arc::clone(v);
         }
         let mut w = shard.write().expect("scores shard poisoned");
@@ -251,7 +272,7 @@ impl SharedScores {
         }
         let labels: Vec<&str> = seq.iter().map(|&l| interner.resolve(l)).collect();
         let v = Arc::new(params.mrho.encode(&labels));
-        w.path_vecs.insert(seq.to_vec(), Arc::clone(&v));
+        w.path_vecs.insert(seq.into(), Arc::clone(&v));
         v
     }
 
@@ -263,36 +284,24 @@ impl SharedScores {
         seq1: &[LabelId],
         seq2: &[LabelId],
     ) -> f32 {
-        let key = (seq1.to_vec(), seq2.to_vec());
-        let shard = self.shard(&key);
-        if let Some(&s) = shard.read().expect("scores shard poisoned").mrho_memo.get(&key) {
-            self.count_hit();
+        let shard = self.shard(&(seq1, seq2));
+        let memo = shard.read().expect("scores shard poisoned");
+        if let Some(&s) = memo.mrho_memo.get(seq1).and_then(|m| m.get(seq2)) {
+            self.add_hits(1);
             return s;
         }
+        drop(memo);
         let v1 = self.path_vec(params, interner, seq1);
         let v2 = self.path_vec(params, interner, seq2);
         let s = params.mrho.score_vecs(&v1, &v2);
-        shard
-            .write()
-            .expect("scores shard poisoned")
-            .mrho_memo
-            .insert(key, s);
+        let mut w = shard.write().expect("scores shard poisoned");
+        w.mrho_memo.entry(seq1.into()).or_default().insert(seq2.into(), s);
         s
-    }
-
-    /// `h_ρ(ρ1, ρ2) = M_ρ(L(ρ1), L(ρ2)) / (len(ρ1) + len(ρ2))` (Eq. 2).
-    pub fn hrho(&self, params: &Params, interner: &Interner, rho1: &Path, rho2: &Path) -> f32 {
-        let denom = (rho1.len() + rho2.len()) as f32;
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.mrho(params, interner, rho1.edge_labels(), rho2.edge_labels()) / denom
     }
 
     /// Parallel batch pre-embedding of the `M_v` label vocabulary:
     /// deduplicates, skips labels already cached, then embeds the rest
-    /// across `threads` scoped threads (chunked like the parallel
-    /// engine's selection precompute). Call before workers start so the
+    /// across `threads` scoped threads. Call before workers start so the
     /// hot loop never embeds.
     pub fn prewarm_labels(
         &self,
@@ -301,42 +310,19 @@ impl SharedScores {
         labels: &[LabelId],
         threads: usize,
     ) {
-        let mut todo: Vec<LabelId> = {
-            let mut seen = her_graph::hash::FxHashSet::default();
-            labels
-                .iter()
-                .copied()
-                .filter(|l| seen.insert(*l))
-                .filter(|l| {
-                    !self
-                        .shard(l)
-                        .read()
-                        .expect("scores shard poisoned")
-                        .label_vecs
-                        .contains_key(l)
-                })
-                .collect()
-        };
+        let mut seen = her_graph::hash::FxHashSet::default();
+        let mut todo: Vec<LabelId> = labels
+            .iter()
+            .copied()
+            .filter(|l| seen.insert(*l))
+            .filter(|l| {
+                let shard = self.shard(l).read().expect("scores shard poisoned");
+                !shard.label_vecs.contains_key(l)
+            })
+            .collect();
         todo.sort_unstable();
-        if todo.is_empty() {
-            return;
-        }
-        let chunk = todo.len().div_ceil(threads.max(1)).max(1);
-        let parts: Vec<Vec<(LabelId, Arc<Vec<f32>>)>> = std::thread::scope(|s| {
-            todo.chunks(chunk)
-                .map(|ls| {
-                    s.spawn(move || {
-                        ls.iter()
-                            .map(|&l| (l, Arc::new(params.mv.embed(interner.resolve(l)))))
-                            .collect()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("prewarm thread panicked"))
-                .collect()
-        });
-        for (l, v) in parts.into_iter().flatten() {
+        let vecs = par_map(&todo, threads, |&l| Arc::new(params.mv.embed(interner.resolve(l))));
+        for (l, v) in todo.into_iter().zip(vecs) {
             let mut w = self.shard(&l).write().expect("scores shard poisoned");
             if w.label_vecs.insert(l, v).is_none() {
                 self.count_embed(1);
@@ -353,46 +339,24 @@ impl SharedScores {
         seqs: &[Vec<LabelId>],
         threads: usize,
     ) {
-        let mut todo: Vec<&Vec<LabelId>> = {
-            let mut seen = her_graph::hash::FxHashSet::default();
-            seqs.iter()
-                .filter(|s| seen.insert(s.as_slice()))
-                .filter(|s| {
-                    !self
-                        .shard(s.as_slice())
-                        .read()
-                        .expect("scores shard poisoned")
-                        .path_vecs
-                        .contains_key(s.as_slice())
-                })
-                .collect()
-        };
+        let mut seen = her_graph::hash::FxHashSet::default();
+        let mut todo: Vec<&[LabelId]> = seqs
+            .iter()
+            .map(Vec::as_slice)
+            .filter(|s| seen.insert(*s))
+            .filter(|s| {
+                let shard = self.shard(*s).read().expect("scores shard poisoned");
+                !shard.path_vecs.contains_key(*s)
+            })
+            .collect();
         todo.sort_unstable();
-        if todo.is_empty() {
-            return;
-        }
-        let chunk = todo.len().div_ceil(threads.max(1)).max(1);
-        let parts: Vec<EncodedPaths<'_>> = std::thread::scope(|s| {
-            todo.chunks(chunk)
-                .map(|ss| {
-                    s.spawn(move || {
-                        ss.iter()
-                            .map(|&seq| {
-                                let labels: Vec<&str> =
-                                    seq.iter().map(|&l| interner.resolve(l)).collect();
-                                (seq, Arc::new(params.mrho.encode(&labels)))
-                            })
-                            .collect()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("prewarm thread panicked"))
-                .collect()
+        let vecs = par_map(&todo, threads, |seq| {
+            let labels: Vec<&str> = seq.iter().map(|&l| interner.resolve(l)).collect();
+            Arc::new(params.mrho.encode(&labels))
         });
-        for (seq, v) in parts.into_iter().flatten() {
-            let mut w = self.shard(seq.as_slice()).write().expect("scores shard poisoned");
-            w.path_vecs.entry(seq.clone()).or_insert(v);
+        for (seq, v) in todo.into_iter().zip(vecs) {
+            let mut w = self.shard(seq).write().expect("scores shard poisoned");
+            w.path_vecs.entry(seq.into()).or_insert(v);
         }
     }
 
@@ -420,27 +384,25 @@ impl SharedScores {
         self.inner.embed_calls.load(Ordering::Relaxed)
     }
 
-    /// Total memo hits served through this handle.
+    /// Total memo hits served through this handle, on either tier
+    /// (private hits arrive in batches, see [`Self::add_hits`]).
     pub fn shared_hits(&self) -> u64 {
         self.inner.shared_hits.load(Ordering::Relaxed)
     }
 
+    fn entries(&self, of: impl Fn(&Shard) -> usize) -> usize {
+        let shards = self.inner.shards.iter();
+        shards.map(|s| of(&s.read().expect("scores shard poisoned"))).sum()
+    }
+
     /// Number of memoised `h_v` entries across all shards (introspection).
     pub fn hv_entries(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().expect("scores shard poisoned").hv_memo.len())
-            .sum()
+        self.entries(|s| s.hv_memo.len())
     }
 
     /// Number of cached `M_v` label vectors across all shards.
     pub fn label_entries(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().expect("scores shard poisoned").label_vecs.len())
-            .sum()
+        self.entries(|s| s.label_vecs.len())
     }
 }
 

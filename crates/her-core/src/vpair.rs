@@ -80,6 +80,7 @@ pub fn try_vpair(
 ) -> VpairRun {
     let ctx = matcher.ctx();
     let span = matcher.obs().map(|o| o.tracer.span_ctx("vpair", ctx));
+    matcher.hold_telemetry();
     let mut cand = candidates(matcher, u_t, index);
     if let Some(obs) = matcher.obs() {
         obs.registry.counter("vpair.runs").inc();
@@ -89,7 +90,7 @@ pub fn try_vpair(
     }
     // Fig. 5 line 4: verify in increasing order of degree, so a budgeted
     // run decides the cheap candidates before the expensive ones.
-    cand.sort_by_key(|&v| (matcher.g().degree(v), v));
+    cand.sort_by_cached_key(|&v| (matcher.g().degree(v), v));
     let mut matches = Vec::new();
     let mut unresolved = Vec::new();
     let mut exhausted = None;
@@ -108,6 +109,7 @@ pub fn try_vpair(
     }
     matches.sort();
     unresolved.sort();
+    matcher.publish_telemetry();
     drop(span);
     VpairRun {
         matches,
@@ -125,10 +127,11 @@ pub fn vpair_ordered(
     index: Option<&InvertedIndex>,
     degree_order: bool,
 ) -> Vec<VertexId> {
+    matcher.hold_telemetry();
     let mut cand = candidates(matcher, u_t, index);
     if degree_order {
         // Fig. 5 line 4: verify in increasing order of degree.
-        cand.sort_by_key(|&v| (matcher.g().degree(v), v));
+        cand.sort_by_cached_key(|&v| (matcher.g().degree(v), v));
     }
     let mut out = Vec::new();
     for v in cand {
@@ -141,6 +144,7 @@ pub fn vpair_ordered(
         }
     }
     out.sort();
+    matcher.publish_telemetry();
     out
 }
 

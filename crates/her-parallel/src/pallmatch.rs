@@ -65,15 +65,15 @@ pub struct ParallelConfig {
     pub watchdog: Duration,
     /// Observability handle: when set, every worker's matcher reports
     /// into the shared registry (the `paramatch.*` namespace aggregates
-    /// across workers — the counters are lock-free atomics), the run
+    /// across workers, each publishing its delta once per superstep), the run
     /// records `bsp.*`/`parallel.*`/`fault.*` metrics, and
     /// death/recovery events land in the trace log.
     pub obs: Option<her_obs::Obs>,
-    /// Share one sharded score cache across all workers (and pre-embed
-    /// the label vocabulary before the BSP loop starts), so `M_v`/`M_ρ`
-    /// vectors are computed once per distinct label process-wide instead
-    /// of once per worker. `false` gives each worker a private cache —
-    /// only useful for ablation.
+    /// Share one sharded score layer behind all workers' private pair
+    /// memos (and pre-embed the label vocabulary before the BSP loop
+    /// starts), so `M_v`/`M_ρ` vectors are computed once per distinct
+    /// label process-wide instead of once per worker. `false` gives each
+    /// worker a layer of its own — only useful for ablation.
     pub shared_scores: bool,
     /// Reuse an already-built [`SharedScores`] handle (typically the
     /// facade handle of the `Her` instance this run serves) instead of
@@ -324,6 +324,8 @@ impl<'a> bsp::Worker for PWorker<'a> {
     fn superstep(&mut self, inbox: Vec<Msg>) -> Vec<(usize, Msg)> {
         self.superstep_no += 1;
         self.fault.maybe_kill(self.id, self.superstep_no);
+        // The superstep is the entry point: one publication at its end.
+        self.matcher.hold_telemetry();
         let mut out = Vec::new();
         // Release messages an injected fault delayed last superstep. They
         // count as output, so the run cannot reach a false fixpoint while
@@ -371,6 +373,7 @@ impl<'a> bsp::Worker for PWorker<'a> {
         }
         self.flush_assumptions(&mut out);
         self.flush_invalidations(&mut out);
+        self.matcher.publish_telemetry();
         out
     }
 }
@@ -754,8 +757,7 @@ fn write_checkpoint(
 }
 
 /// Shared top-k selection table: vertex → `h_r` output.
-pub(crate) type SelectionMap =
-    FxHashMap<VertexId, std::sync::Arc<Vec<(VertexId, her_graph::Path)>>>;
+pub(crate) type SelectionMap = her_core::paramatch::Selections;
 
 /// Precomputes `h_r` top-k selections for every non-leaf vertex, chunked
 /// across `n` threads.
@@ -1040,62 +1042,90 @@ fn engine(
             .as_ref()
             .map(|o| o.tracer.span_ctx("parallel.candidates", cfg.ctx));
         let index = cfg.use_blocking.then(|| InvertedIndex::build(g, interner));
-        let sigma = params.thresholds.sigma;
-        let mut roots_per_worker: Vec<Vec<PairKey>> = vec![Vec::new(); n];
-        {
-            // One throwaway matcher for h_v evaluation over the full graph.
-            // It shares the score layer so its embeddings are not redone,
-            // and reports into the same registry so `scores.embed_calls`
-            // covers candidate generation in both modes.
-            let mut probe = Matcher::with_options(
-                gd,
-                g,
-                interner,
-                params,
-                MatcherOptions {
-                    obs: cfg.obs.clone(),
-                    shared_scores: shared_scores.clone(),
-                    ..Default::default()
-                },
-            );
-            for &u in tuple_vertices {
-                let pool: Vec<VertexId> = match &index {
-                    Some(idx) => {
-                        idx.candidates(&her_core::index::blocking_query(gd, interner, u))
-                    }
-                    None => g.vertices().collect(),
-                };
-                for v in pool {
-                    if probe.hv_pair(u, v) >= sigma {
-                        roots_per_worker[fixed.owner(v)].push((u, v));
-                    }
-                }
-            }
-        }
-        // Degree-ordered verification inside each worker (Fig. 8 line 4).
-        for roots in roots_per_worker.iter_mut() {
-            roots.sort_by_key(|&(u, v)| (gd.degree(u) + g.degree(v), u, v));
-        }
+        // One throwaway matcher per chunk of tuple vertices, on the same
+        // `n` scoped threads the selection precompute uses. Each shares
+        // the score layer so its embeddings are not redone, and reports
+        // into the same registry so `scores.embed_calls` covers candidate
+        // generation in both modes. Roots carry their Fig. 8 line-4 sort
+        // key, `deg(u) + deg(v)`, so ordering them compares plain tuples.
+        let chunk = tuple_vertices.len().div_ceil(n).max(1);
+        let (index, fixed, shared_scores) = (&index, &fixed, &shared_scores);
+        let chunks: Vec<Vec<Vec<(usize, VertexId, VertexId)>>> = std::thread::scope(|s| {
+            tuple_vertices
+                .chunks(chunk)
+                .map(|us| {
+                    s.spawn(move || {
+                        let mut probe = Matcher::with_options(
+                            gd,
+                            g,
+                            interner,
+                            params,
+                            MatcherOptions {
+                                obs: cfg.obs.clone(),
+                                shared_scores: shared_scores.clone(),
+                                ..Default::default()
+                            },
+                        );
+                        let mut roots = vec![Vec::new(); n];
+                        for &u in us {
+                            let deg_u = gd.degree(u);
+                            for v in her_core::vpair::candidates(&mut probe, u, index.as_ref()) {
+                                roots[fixed.owner(v)].push((deg_u + g.degree(v), u, v));
+                            }
+                        }
+                        roots
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("candidate thread panicked"))
+                .collect()
+        });
+        // Degree-ordered verification inside each worker (Fig. 8 line 4):
+        // exactly `(deg(u) + deg(v), u, v)`, one worker's roots per thread.
+        let roots_per_worker: Vec<Vec<PairKey>> = std::thread::scope(|s| {
+            let chunks = &chunks;
+            (0..n)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut keyed: Vec<(usize, VertexId, VertexId)> =
+                            chunks.iter().flat_map(|c| c[w].iter().copied()).collect();
+                        keyed.sort_unstable();
+                        keyed.into_iter().map(|(_, u, v)| (u, v)).collect()
+                    })
+                })
+                .collect::<Vec<_>>()
+                .into_iter()
+                .map(|h| h.join().expect("candidate sort thread panicked"))
+                .collect()
+        });
         drop(span);
         candidates_secs = t0.elapsed().as_secs_f64();
 
-        let workers: Vec<PWorker<'_>> = (0..n)
-            .map(|i| PWorker {
-                id: i,
-                matcher: new_matcher().with_border(borders[i].clone()),
-                part: part.clone(),
-                fault: cfg.fault.clone(),
-                roots: std::mem::take(&mut roots_per_worker[i]),
-                pending: Vec::new(),
-                reverify: false,
-                superstep_no: 0,
-                requested: FxHashSet::default(),
-                served: FxHashMap::default(),
-                notified: FxHashSet::default(),
-                started: false,
-                delayed: Vec::new(),
-                requests_sent: 0,
-                invalidations_sent: 0,
+        let workers: Vec<PWorker<'_>> = roots_per_worker
+            .into_iter()
+            .zip(borders)
+            .enumerate()
+            .map(|(i, (roots, border))| {
+                let mut matcher = new_matcher().with_border(border);
+                matcher.reserve_verdicts(roots.len());
+                PWorker {
+                    id: i,
+                    matcher,
+                    part: part.clone(),
+                    fault: cfg.fault.clone(),
+                    roots,
+                    pending: Vec::new(),
+                    reverify: false,
+                    superstep_no: 0,
+                    requested: FxHashSet::default(),
+                    served: FxHashMap::default(),
+                    notified: FxHashSet::default(),
+                    started: false,
+                    delayed: Vec::new(),
+                    requests_sent: 0,
+                    invalidations_sent: 0,
+                }
             })
             .collect();
         (part, workers, None)

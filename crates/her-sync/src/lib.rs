@@ -142,6 +142,8 @@ struct Held {
 
 thread_local! {
     static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
+    /// `(rank order, acquisitions)` by this thread — see [`acquisitions`].
+    static ACQUIRED: RefCell<Vec<(u32, u64)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Optional acquisition-edge dump, enabled by pointing the
@@ -239,6 +241,13 @@ fn track_acquire(rank: Rank, addr: usize) {
         // Both checks passed: this is a legal acquisition, worth
         // recording as an observed edge (see `edge_log`).
         edge_log::record(held.iter().map(|h| h.name), rank.name);
+        ACQUIRED.with(|counts| {
+            let mut counts = counts.borrow_mut();
+            match counts.iter_mut().find(|(order, _)| *order == rank.order) {
+                Some((_, n)) => *n += 1,
+                None => counts.push((rank.order, 1)),
+            }
+        });
         held.push(Held {
             order: rank.order,
             name: rank.name,
@@ -269,6 +278,19 @@ pub fn held_locks() -> Vec<(&'static str, u32)> {
         return Vec::new();
     }
     HELD.with(|held| held.borrow().iter().map(|h| (h.name, h.order)).collect())
+}
+
+/// How many locks of `rank` the current thread has acquired so far
+/// (reads and writes alike). Tests diff two readings to bound the lock
+/// traffic of a code path; always 0 when tracking is compiled out.
+pub fn acquisitions(rank: Rank) -> u64 {
+    ACQUIRED.with(|counts| {
+        counts
+            .borrow()
+            .iter()
+            .find(|(order, _)| *order == rank.order)
+            .map_or(0, |&(_, n)| n)
+    })
 }
 
 /// Pops the tracker entry for `addr` when dropped (declared *after* the
@@ -487,6 +509,21 @@ mod tests {
         drop(gb);
         drop(ga);
         assert!(held_locks().is_empty());
+    }
+
+    #[test]
+    fn acquisitions_count_per_rank_and_thread() {
+        const COUNTED: Rank = Rank::new(5, "test.counted");
+        let l = RwLock::new(COUNTED, 0);
+        let before = acquisitions(COUNTED);
+        drop(l.read().unwrap());
+        *l.write().unwrap() += 1;
+        // Another thread's traffic is not ours.
+        std::thread::scope(|s| {
+            s.spawn(|| drop(l.read().unwrap()));
+        });
+        let expected = if TRACKING { 2 } else { 0 };
+        assert_eq!(acquisitions(COUNTED) - before, expected);
     }
 
     #[test]

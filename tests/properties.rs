@@ -153,6 +153,71 @@ proptest! {
         prop_assert_eq!(run(3), r1);
     }
 
+    /// The score tiers are invisible: on random small graphs a matcher on
+    /// its own score handle, matchers on a cold and on a warm shared
+    /// handle, and a warm re-armed (pooled) matcher agree on the match
+    /// set, every lineage set and — warm re-run aside — `MatchStats`,
+    /// under each ablation toggle; 2- and 4-worker `pallmatch`, with and
+    /// without a shared handle, find the sequential match set.
+    #[test]
+    fn score_tiers_and_engines_agree(
+        (g, interner) in arb_graph(8, 12),
+        delta in 0.0f32..0.8,
+    ) {
+        use her::core::apair::apair;
+        use her::core::paramatch::{Budget, CancelToken, MatcherOptions};
+        use her::core::SharedScores;
+        let gd = g.clone();
+        let params = Params::untrained(16, 7).with_thresholds(Thresholds::new(0.9, delta, 3));
+        let roots: Vec<VertexId> = gd.vertices().take(5).collect();
+        let lineages = |m: &Matcher<'_>| -> Vec<Option<Vec<(VertexId, VertexId)>>> {
+            roots
+                .iter()
+                .flat_map(|&u| g.vertices().map(move |v| (u, v)))
+                .map(|(u, v)| m.lineage(u, v).map(<[_]>::to_vec))
+                .collect()
+        };
+        let toggles = [
+            MatcherOptions::default(),
+            MatcherOptions { early_termination: false, ..Default::default() },
+            MatcherOptions { use_ecache: false, ..Default::default() },
+            MatcherOptions { sorted_lists: false, ..Default::default() },
+        ];
+        for opts in toggles {
+            let mut own = Matcher::with_options(&gd, &g, &interner, &params, opts.clone());
+            let matches = apair(&mut own, &roots, None);
+            let shared = SharedScores::new();
+            for _ in 0..2 {
+                let mut m = Matcher::with_options(&gd, &g, &interner, &params, MatcherOptions {
+                    shared_scores: Some(shared.clone()),
+                    ..opts.clone()
+                });
+                prop_assert_eq!(&apair(&mut m, &roots, None), &matches);
+                prop_assert_eq!(lineages(&m), lineages(&own));
+                prop_assert_eq!(m.stats(), own.stats());
+                // Checked back in and out of a pool: re-armed, still warm.
+                let before = m.stats();
+                m.rearm(Budget::unlimited(), CancelToken::new(), her::obs::ReqCtx::NONE);
+                prop_assert_eq!(&apair(&mut m, &roots, None), &matches);
+                prop_assert_eq!(lineages(&m), lineages(&own));
+                prop_assert_eq!(m.stats().delta_since(&before).calls, 0);
+            }
+            if opts.early_termination && opts.use_ecache && opts.sorted_lists {
+                for workers in [2, 4] {
+                    for shared_scores in [true, false] {
+                        let (parallel, _) = pallmatch(&gd, &g, &interner, &params, &roots, &ParallelConfig {
+                            workers,
+                            use_blocking: false,
+                            shared_scores,
+                            ..Default::default()
+                        });
+                        prop_assert_eq!(&parallel, &matches, "{} workers, shared {}", workers, shared_scores);
+                    }
+                }
+            }
+        }
+    }
+
     /// ParaMatch's witnesses are contained in the unique maximal match
     /// (Proposition 4's oracle computed by exact fixpoint refinement).
     #[test]
