@@ -12,7 +12,7 @@
 //! - [`scores`]: the private, lock-free pair memo each matcher's hot loop
 //!   reads `h_v`/`h_ρ` from;
 //! - [`shared_scores`]: the thread-safe sharded layer behind it that one
-//!   process shares across all matchers (sequential facade, BSP/async
+//!   process shares across all matchers (sequential facade, BSP
 //!   workers), keeping embeddings and encodings exactly-once;
 //! - [`paramatch`]: algorithm `ParaMatch` (Fig. 4) — quadratic-time match
 //!   checking with `cache`/`ecache`, sorted candidate lists, `MaxSco` early

@@ -78,7 +78,7 @@ struct Inner {
 }
 
 /// Thread-safe, sharded, read-through score memo shared by all matchers
-/// in a process (sequential `apair`, every BSP/async worker). Clones
+/// in a process (sequential `apair`, every BSP worker). Clones
 /// share the underlying tables.
 #[derive(Clone)]
 pub struct SharedScores {

@@ -1,8 +1,8 @@
 //! # her-obs — observability for the HER matching stack
 //!
 //! Zero-dependency tracing + metrics, threaded through every execution
-//! layer (`her-core`'s ParaMatch recursion, `her-parallel`'s BSP and
-//! async engines, the baselines, the CLI, and the bench harness).
+//! layer (`her-core`'s ParaMatch recursion, `her-parallel`'s BSP
+//! engine, the baselines, the CLI, and the bench harness).
 //!
 //! Three pieces:
 //!

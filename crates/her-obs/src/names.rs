@@ -18,13 +18,6 @@ pub const ALL: &[&str] = &[
     // apair: batch AllParaMatch entry point
     "apair.candidates",
     "apair.runs",
-    // async: barrier-free engine
-    "async.invalidations",
-    "async.recoveries",
-    "async.requests",
-    "async.runs",
-    "async.watchdog_aborts",
-    "async.worker_deaths",
     // bsp: superstep engine
     "bsp.recoveries",
     "bsp.superstep.busy_us",
@@ -33,8 +26,6 @@ pub const ALL: &[&str] = &[
     "bsp.supersteps",
     "bsp.worker_deaths",
     // fault: injected-fault accounting, forwarded through fault_count()
-    // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
-    "fault.blackholed",
     // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
     "fault.delayed",
     // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
@@ -49,7 +40,7 @@ pub const ALL: &[&str] = &[
     "flight.p50_exec_us.stream",
     "flight.p50_exec_us.vpair",
     "flight.records",
-    // parallel: run-level accounting shared by both engines
+    // parallel: run-level accounting of a pallmatch run
     "parallel.invalidations",
     "parallel.requests",
     "parallel.runs",

@@ -28,8 +28,7 @@ pub struct SuperstepStat {
     pub busy_min_secs: f64,
     /// Summed busy time across participating workers.
     pub busy_total_secs: f64,
-    /// Workers that executed this superstep (live ones, under
-    /// [`run_supervised`]).
+    /// Live workers that executed this superstep.
     pub workers: usize,
     /// Messages routed at this superstep's barrier.
     pub messages: usize,
@@ -57,37 +56,6 @@ pub struct RunStats {
     /// Per-superstep breakdown, in execution order (one entry per
     /// superstep).
     pub per_superstep: Vec<SuperstepStat>,
-}
-
-/// Runs workers to the message fixpoint; returns the number of supersteps
-/// executed (at least 1).
-///
-/// # Panics
-/// Panics if a worker addresses a message out of range.
-pub fn run<W: Worker>(workers: &mut [W]) -> usize {
-    run_timed(workers).supersteps
-}
-
-/// As [`run`], additionally measuring per-worker busy time to derive the
-/// BSP critical path.
-///
-/// # Panics
-/// Panics if a worker addresses a message out of range.
-pub fn run_timed<W: Worker>(workers: &mut [W]) -> RunStats {
-    run_inner(workers, false)
-}
-
-/// Cluster *simulation*: executes the logically-concurrent workers one at a
-/// time so each superstep's per-worker busy time is measured without CPU
-/// contention — on an oversubscribed (or single-core) host, thread
-/// interleaving would otherwise inflate every worker's wall-clock to the
-/// whole superstep. The returned critical path is the faithful estimate of
-/// an `n`-machine BSP cluster's wall-clock.
-///
-/// # Panics
-/// Panics if a worker addresses a message out of range.
-pub fn run_simulated<W: Worker>(workers: &mut [W]) -> RunStats {
-    run_inner(workers, true)
 }
 
 /// A worker loss observed at a superstep barrier.
@@ -168,11 +136,19 @@ pub struct ResumeState<M> {
     pub inboxes: Vec<Vec<M>>,
 }
 
-/// As [`run_timed`]/[`run_simulated`] (`sequential` selects which), but
-/// each worker's superstep runs under `catch_unwind`: a panicking worker is
+/// Runs workers to the message fixpoint (at least one superstep). Each
+/// worker's superstep runs under `catch_unwind`: a panicking worker is
 /// marked dead, the supervisor's [`Supervisor::on_death`] reassigns its
 /// work, and messages addressed to it are re-routed. The surviving fleet
 /// runs on to the fixpoint.
+///
+/// `sequential` selects cluster *simulation*: the logically-concurrent
+/// workers execute one at a time, so each superstep's per-worker busy time
+/// is measured without CPU contention and [`RunStats::critical_path_secs`]
+/// is the faithful estimate of an `n`-machine cluster's wall-clock. (On an
+/// oversubscribed or single-core host, thread interleaving would otherwise
+/// inflate every worker's wall-clock to the whole superstep.) `false` runs
+/// each superstep on scoped OS threads.
 ///
 /// Replay safety is the paper's §VI-B Remark 1 argument: assumption
 /// invalidation is monotone (`true → false`, at most once per pair at its
@@ -368,75 +344,6 @@ where
     }
 }
 
-/// One worker's superstep output plus its busy time.
-type TimedOut<M> = (Vec<(usize, M)>, f64);
-
-fn run_inner<W: Worker>(workers: &mut [W], sequential: bool) -> RunStats {
-    let n = workers.len();
-    assert!(n > 0, "need at least one worker");
-    let mut inboxes: Vec<Vec<W::Msg>> = (0..n).map(|_| Vec::new()).collect();
-    let mut stats = RunStats::default();
-    loop {
-        stats.supersteps += 1;
-        // Barrier-synchronised execution of one superstep.
-        let taken: Vec<Vec<W::Msg>> = std::mem::take(&mut inboxes);
-        let timed: Vec<TimedOut<W::Msg>> = if sequential {
-            workers
-                .iter_mut()
-                .zip(taken)
-                .map(|(w, inbox)| {
-                    let start = std::time::Instant::now();
-                    let out = w.superstep(inbox);
-                    (out, start.elapsed().as_secs_f64())
-                })
-                .collect()
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = workers
-                    .iter_mut()
-                    .zip(taken)
-                    .map(|(w, inbox)| {
-                        s.spawn(move || {
-                            let start = std::time::Instant::now();
-                            let out = w.superstep(inbox);
-                            (out, start.elapsed().as_secs_f64())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            })
-        };
-        let mut step_stat = SuperstepStat {
-            busy_min_secs: f64::INFINITY,
-            workers: n,
-            ..Default::default()
-        };
-        // Route messages.
-        inboxes = (0..n).map(|_| Vec::new()).collect();
-        let mut any = false;
-        for (out, busy) in timed {
-            step_stat.busy_max_secs = step_stat.busy_max_secs.max(busy);
-            step_stat.busy_min_secs = step_stat.busy_min_secs.min(busy);
-            step_stat.busy_total_secs += busy;
-            stats.total_busy_secs += busy;
-            for (dest, msg) in out {
-                assert!(dest < n, "message addressed to unknown worker {dest}");
-                inboxes[dest].push(msg);
-                step_stat.messages += 1;
-                any = true;
-            }
-        }
-        stats.critical_path_secs += step_stat.busy_max_secs;
-        stats.per_superstep.push(step_stat);
-        if !any {
-            return stats;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,10 +376,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn token_ring_terminates_and_routes() {
+    /// A 4-worker ring passing tokens 0..9.
+    fn ring() -> Vec<Ring> {
         let n = 4;
-        let mut workers: Vec<Ring> = (0..n)
+        (0..n)
             .map(|id| Ring {
                 id,
                 n,
@@ -480,42 +387,59 @@ mod tests {
                 seen: Vec::new(),
                 started: false,
             })
-            .collect();
-        let steps = run(&mut workers);
-        // Token k is delivered at superstep k + 2; the last (k = 8) produces
-        // no further messages, so the run ends right there.
-        assert_eq!(steps, 10);
-        let mut all: Vec<u32> = workers.iter().flat_map(|w| w.seen.clone()).collect();
-        all.sort();
-        assert_eq!(all, (0..9).collect::<Vec<_>>());
-        // Round-robin delivery: worker 1 saw tokens 0, 4, 8.
-        assert_eq!(workers[1].seen, vec![0, 4, 8]);
+            .collect()
+    }
+
+    /// Supervisor for fleets in which no worker dies.
+    struct NoDeaths;
+    impl<W: Worker> Supervisor<W> for NoDeaths {
+        fn on_death(
+            &mut self,
+            _w: &mut [W],
+            _d: Death<W::Msg>,
+            _a: &[usize],
+        ) -> Vec<(usize, W::Msg)> {
+            unreachable!("no worker dies in this test")
+        }
+        fn reroute(&mut self, _w: &mut [W], _m: W::Msg) -> Option<(usize, W::Msg)> {
+            unreachable!("no worker dies in this test")
+        }
+    }
+
+    #[test]
+    fn token_ring_terminates_and_routes() {
+        for sequential in [true, false] {
+            let mut workers = ring();
+            let stats = run_supervised(&mut workers, &mut NoDeaths, sequential);
+            // Token k is delivered at superstep k + 2; the last (k = 8)
+            // produces no further messages, so the run ends right there.
+            assert_eq!(stats.run.supersteps, 10, "sequential={sequential}");
+            assert_eq!(stats.deaths, 0);
+            let mut all: Vec<u32> = workers.iter().flat_map(|w| w.seen.clone()).collect();
+            all.sort();
+            assert_eq!(all, (0..9).collect::<Vec<_>>());
+            // Round-robin delivery: worker 1 saw tokens 0, 4, 8.
+            assert_eq!(workers[1].seen, vec![0, 4, 8]);
+        }
     }
 
     #[test]
     fn per_superstep_stats_cover_the_run() {
-        let n = 4;
-        let mut workers: Vec<Ring> = (0..n)
-            .map(|id| Ring {
-                id,
-                n,
-                limit: 9,
-                seen: Vec::new(),
-                started: false,
-            })
-            .collect();
-        let stats = run_timed(&mut workers);
-        assert_eq!(stats.per_superstep.len(), stats.supersteps);
-        // Each of the 9 tokens is routed exactly once.
-        let routed: usize = stats.per_superstep.iter().map(|s| s.messages).sum();
-        assert_eq!(routed, 9);
-        for s in &stats.per_superstep {
-            assert_eq!(s.workers, n);
-            assert!(s.busy_min_secs <= s.busy_max_secs);
-            assert!(s.skew_secs() >= 0.0);
+        for sequential in [true, false] {
+            let mut workers = ring();
+            let stats = run_supervised(&mut workers, &mut NoDeaths, sequential).run;
+            assert_eq!(stats.per_superstep.len(), stats.supersteps);
+            // Each of the 9 tokens is routed exactly once.
+            let routed: usize = stats.per_superstep.iter().map(|s| s.messages).sum();
+            assert_eq!(routed, 9);
+            for s in &stats.per_superstep {
+                assert_eq!(s.workers, workers.len());
+                assert!(s.busy_min_secs <= s.busy_max_secs);
+                assert!(s.skew_secs() >= 0.0);
+            }
+            let critical: f64 = stats.per_superstep.iter().map(|s| s.busy_max_secs).sum();
+            assert!((critical - stats.critical_path_secs).abs() < 1e-9);
         }
-        let critical: f64 = stats.per_superstep.iter().map(|s| s.busy_max_secs).sum();
-        assert!((critical - stats.critical_path_secs).abs() < 1e-9);
     }
 
     /// A silent fleet terminates after exactly one superstep.
@@ -529,8 +453,11 @@ mod tests {
 
     #[test]
     fn silent_workers_run_one_superstep() {
-        let mut ws = vec![Silent, Silent, Silent];
-        assert_eq!(run(&mut ws), 1);
+        for sequential in [true, false] {
+            let mut ws = vec![Silent, Silent, Silent];
+            let stats = run_supervised(&mut ws, &mut NoDeaths, sequential);
+            assert_eq!(stats.run.supersteps, 1, "sequential={sequential}");
+        }
     }
 
     #[test]
@@ -549,8 +476,11 @@ mod tests {
                 }
             }
         }
-        let mut ws = vec![SelfTalk { remaining: 3 }];
-        assert_eq!(run(&mut ws), 4);
+        for sequential in [true, false] {
+            let mut ws = vec![SelfTalk { remaining: 3 }];
+            let stats = run_supervised(&mut ws, &mut NoDeaths, sequential);
+            assert_eq!(stats.run.supersteps, 4, "sequential={sequential}");
+        }
     }
 
     /// Scripted-death worker for supervised-run tests: accumulates tokens,
@@ -644,88 +574,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn supervised_run_without_deaths_matches_plain_run() {
-        let mk = || {
-            let n = 4;
-            (0..n)
-                .map(|id| Ring {
-                    id,
-                    n,
-                    limit: 9,
-                    seen: Vec::new(),
-                    started: false,
-                })
-                .collect::<Vec<Ring>>()
-        };
-        struct NoOp;
-        impl Supervisor<Ring> for NoOp {
-            fn on_death(
-                &mut self,
-                _w: &mut [Ring],
-                _d: Death<u32>,
-                _a: &[usize],
-            ) -> Vec<(usize, u32)> {
-                unreachable!("no worker dies in this test")
-            }
-            fn reroute(&mut self, _w: &mut [Ring], _m: u32) -> Option<(usize, u32)> {
-                unreachable!()
-            }
-        }
-        let mut plain = mk();
-        let steps = run(&mut plain);
-        let mut supervised = mk();
-        let stats = run_supervised(&mut supervised, &mut NoOp, true);
-        assert_eq!(stats.run.supersteps, steps);
-        assert_eq!(stats.deaths, 0);
-        for (p, s) in plain.iter().zip(&supervised) {
-            assert_eq!(p.seen, s.seen);
-        }
-    }
-
-    struct NoOpRing;
-    impl Supervisor<Ring> for NoOpRing {
-        fn on_death(
-            &mut self,
-            _w: &mut [Ring],
-            _d: Death<u32>,
-            _a: &[usize],
-        ) -> Vec<(usize, u32)> {
-            unreachable!("no worker dies in this test")
-        }
-        fn reroute(&mut self, _w: &mut [Ring], _m: u32) -> Option<(usize, u32)> {
-            unreachable!()
-        }
-    }
-
     /// Stopping at *every* barrier k and resuming from the captured
     /// inboxes reproduces the uninterrupted run exactly — the BSP-level
     /// half of the crash-recovery acceptance property.
     #[test]
     fn stop_at_any_barrier_then_resume_equals_uninterrupted() {
-        let n = 4;
-        let mk = || {
-            (0..n)
-                .map(|id| Ring {
-                    id,
-                    n,
-                    limit: 9,
-                    seen: Vec::new(),
-                    started: false,
-                })
-                .collect::<Vec<Ring>>()
-        };
-        let mut clean = mk();
-        let clean_steps = run(&mut clean);
+        let mut clean = ring();
+        let clean_steps = run_supervised(&mut clean, &mut NoDeaths, true)
+            .run
+            .supersteps;
         let clean_seen: Vec<Vec<u32>> = clean.iter().map(|w| w.seen.clone()).collect();
 
         for k in 1..clean_steps {
             // Phase 1: run to barrier k, capture the routed inboxes, stop.
-            let mut workers = mk();
+            let mut workers = ring();
             let mut captured: Option<ResumeState<u32>> = None;
             let stats = run_supervised_resumable(
                 &mut workers,
-                &mut NoOpRing,
+                &mut NoDeaths,
                 true,
                 None,
                 &mut |b: BarrierInfo<'_, Ring>| {
@@ -747,7 +613,7 @@ mod tests {
             let resume = captured.expect("barrier k reached");
             let stats = run_supervised_resumable(
                 &mut workers,
-                &mut NoOpRing,
+                &mut NoDeaths,
                 true,
                 Some(resume),
                 &mut |_| BarrierControl::Continue,
@@ -765,31 +631,11 @@ mod tests {
     #[test]
     fn fixpoint_barrier_is_reported_to_the_hook() {
         let mut ws = vec![Silent, Silent];
-        struct NoOpSilent;
-        impl Supervisor<Silent> for NoOpSilent {
-            fn on_death(
-                &mut self,
-                _w: &mut [Silent],
-                _d: Death<()>,
-                _a: &[usize],
-            ) -> Vec<(usize, ())> {
-                unreachable!()
-            }
-            fn reroute(&mut self, _w: &mut [Silent], _m: ()) -> Option<(usize, ())> {
-                unreachable!()
-            }
-        }
         let mut saw_fixpoint = false;
-        let stats = run_supervised_resumable(
-            &mut ws,
-            &mut NoOpSilent,
-            true,
-            None,
-            &mut |b: BarrierInfo<'_, Silent>| {
-                saw_fixpoint = b.fixpoint;
-                BarrierControl::Stop
-            },
-        );
+        let stats = run_supervised_resumable(&mut ws, &mut NoDeaths, true, None, &mut |b| {
+            saw_fixpoint = b.fixpoint;
+            BarrierControl::Stop
+        });
         assert!(saw_fixpoint);
         assert!(!stats.stopped_early, "fixpoint termination wins over Stop");
     }
@@ -823,7 +669,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown worker")]
     fn out_of_range_destination_panics() {
         struct Bad;
         impl Worker for Bad {
@@ -832,7 +677,11 @@ mod tests {
                 vec![(5, ())]
             }
         }
-        let mut ws = vec![Bad];
-        run(&mut ws);
+        for sequential in [true, false] {
+            let run = || run_supervised(&mut [Bad], &mut NoDeaths, sequential);
+            let panic = std::panic::catch_unwind(run).expect_err("routing must reject worker 5");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("unknown worker"), "{msg}");
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! Deterministic fault injection for the parallel engines.
+//! Deterministic fault injection for the BSP engine.
 //!
 //! A [`FaultPlan`] is a seeded script of failures threaded through
 //! [`crate::ParallelConfig`]: worker panics at a chosen superstep, per-pair
 //! "poisoned" evaluations that panic once, and a seeded per-worker stream of
-//! message fates (drop / duplicate / delay / black-hole). The plan is
+//! message fates (deliver / drop / duplicate / delay). The plan is
 //! `Clone`-shared across workers: once-only faults (kills, poisons) fire
 //! exactly once no matter how many clones observe them.
 //!
@@ -21,13 +21,11 @@
 //!   the recovery path.
 //! - **Duplicate** → the message is delivered twice. Safe because both
 //!   request serving and invalidation are idempotent.
-//! - **Delay** → delivery is deferred (next superstep under BSP, a short
-//!   hold in the async engine). Safe because the fixpoint is
-//!   order-insensitive (§VI-B Remark 1).
-//! - **Black hole** → the transport reports success but the message
-//!   vanishes. *Not* recoverable by retry — this exists to exercise the
-//!   liveness watchdog, which must terminate the run instead of hanging on
-//!   the in-flight counter.
+//! - **Delay** → delivery is deferred to the next superstep. Safe because
+//!   the fixpoint is order-insensitive (§VI-B Remark 1).
+//!
+//! Silent permanent loss is not modelled: a BSP run cannot detect it, so
+//! every fate here is one the engine recovers from.
 //!
 //! Recovery/control messages are never faulted; only protocol traffic
 //! (requests and invalidations) passes through [`FaultPlan::fate`].
@@ -48,8 +46,6 @@ pub enum MessageFate {
     Duplicate,
     /// Deliver late.
     Delay,
-    /// Report success but never deliver (exercises the watchdog).
-    BlackHole,
 }
 
 #[derive(Debug)]
@@ -77,7 +73,6 @@ pub struct FaultPlan {
     drop_p: f64,
     dup_p: f64,
     delay_p: f64,
-    black_hole_p: f64,
     kills: Vec<(usize, usize)>,
     poisoned: Vec<PairKey>,
     state: Arc<State>,
@@ -93,8 +88,7 @@ impl FaultPlan {
     }
 
     /// Schedules worker `worker` to panic at the start of `superstep`
-    /// (1-based; the async engine counts its initial pass as superstep 1
-    /// and each processed message as one further step).
+    /// (1-based).
     pub fn kill_worker(mut self, worker: usize, superstep: usize) -> Self {
         self.kills.push((worker, superstep));
         self
@@ -125,13 +119,6 @@ impl FaultPlan {
         self
     }
 
-    /// Probability that a message silently vanishes after a successful
-    /// send. Unrecoverable by design — pair with a watchdog test.
-    pub fn black_hole_messages(mut self, p: f64) -> Self {
-        self.black_hole_p = p;
-        self
-    }
-
     /// True when any fault can fire (lets hot paths skip the hooks).
     pub fn is_armed(&self) -> bool {
         !self.kills.is_empty()
@@ -139,7 +126,6 @@ impl FaultPlan {
             || self.drop_p > 0.0
             || self.dup_p > 0.0
             || self.delay_p > 0.0
-            || self.black_hole_p > 0.0
     }
 
     /// Panics (once per scheduled entry) if `worker` is scripted to die at
@@ -167,8 +153,7 @@ impl FaultPlan {
     /// pure function of `(seed, worker, attempt index)`, so a run replayed
     /// with the same plan sees the same fates in the same per-worker order.
     pub fn fate(&self, worker: usize) -> MessageFate {
-        if self.drop_p == 0.0 && self.dup_p == 0.0 && self.delay_p == 0.0 && self.black_hole_p == 0.0
-        {
+        if self.drop_p == 0.0 && self.dup_p == 0.0 && self.delay_p == 0.0 {
             return MessageFate::Deliver;
         }
         let attempt = {
@@ -189,8 +174,6 @@ impl FaultPlan {
             MessageFate::Duplicate
         } else if u < self.drop_p + self.dup_p + self.delay_p {
             MessageFate::Delay
-        } else if u < self.drop_p + self.dup_p + self.delay_p + self.black_hole_p {
-            MessageFate::BlackHole
         } else {
             MessageFate::Deliver
         }
@@ -265,6 +248,5 @@ mod tests {
         assert!(mix.contains(&MessageFate::Drop));
         assert!(mix.contains(&MessageFate::Duplicate));
         assert!(mix.contains(&MessageFate::Delay));
-        assert!(!mix.contains(&MessageFate::BlackHole));
     }
 }

@@ -7,8 +7,9 @@
 //! optimistically assuming matches for *border* vertices owned elsewhere
 //! (PPSim); supersteps exchange verification requests and invalidations
 //! until a fixpoint (IncPSim) — computed by [`pallmatch()`]. The final
-//! match set is the union of local results. [`async_match`] provides the
-//! barrier-free variant of §VI-B Remark 1.
+//! match set is the union of local results. This is the crate's only
+//! engine: the barrier-free variant of §VI-B Remark 1 is not implemented
+//! (DESIGN.md §4b records the measurement behind that).
 //!
 //! Implementation notes relative to the paper (DESIGN.md §4b):
 //!
@@ -18,17 +19,17 @@
 //! - the `h_r` top-k selections are a global preprocessing pass shared
 //!   read-only by all workers, so descendant rankings cannot diverge at
 //!   fragment borders (this is what makes Theorem 3's equivalence with the
-//!   sequential algorithm hold); the induced-subgraph materialisation in
-//!   [`fragment`] documents the paper's original formulation;
-//! - on hosts with fewer cores than workers, [`bsp::run_simulated`]
-//!   executes workers sequentially and reports the BSP critical path as
-//!   the simulated cluster wall-clock.
+//!   sequential algorithm hold);
+//! - on hosts with fewer cores than workers,
+//!   [`ParallelConfig::simulate_cluster`] executes workers sequentially
+//!   and reports the BSP critical path as the simulated cluster
+//!   wall-clock.
 //!
 //! # Failure model and worker recovery
 //!
-//! Both engines tolerate worker loss (a panic inside a superstep or the
-//! async event loop, caught with `catch_unwind`). Recovery reassigns the
-//! dead worker's vertices to survivors ([`SharedPartition::reassign`]),
+//! The engine tolerates worker loss (a panic inside a superstep, caught
+//! with `catch_unwind`). Recovery reassigns the dead worker's vertices to
+//! survivors ([`SharedPartition::reassign`]),
 //! the new owners *adopt* them (`Matcher::adopt_border`: the vertices
 //! leave the border set and every cached verdict leaning on assumptions
 //! about them is purged and re-verified authoritatively), the dead
@@ -53,14 +54,11 @@
 //! `her_core::paramatch` (`Budget`, `CancelToken`).
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
-pub mod async_match;
 pub mod bsp;
 pub mod fault;
-pub mod fragment;
 pub mod pallmatch;
 pub mod partition;
 
-pub use async_match::{pallmatch_async, AsyncStats};
 pub use fault::{FaultPlan, MessageFate};
 pub use pallmatch::{
     pallmatch, pallmatch_durable, pvpair, DurabilityConfig, DurableRun, ParallelConfig,

@@ -31,7 +31,6 @@ use her_graph::hash::{FxHashMap, FxHashSet};
 use her_graph::{Graph, Interner, LabelId, VertexId};
 use her_store::{CodecError, Dec, Enc, Snapshot, SnapshotStore, StoreError};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 /// How `G` is assigned to workers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -59,10 +58,6 @@ pub struct ParallelConfig {
     pub simulate_cluster: bool,
     /// Injected faults (inert by default) — see [`crate::fault`].
     pub fault: FaultPlan,
-    /// Liveness watchdog for the asynchronous engine: if the in-flight
-    /// counter is non-zero but no worker makes progress for this long, the
-    /// run aborts with partial results instead of hanging.
-    pub watchdog: Duration,
     /// Observability handle: when set, every worker's matcher reports
     /// into the shared registry (the `paramatch.*` namespace aggregates
     /// across workers, each publishing its delta once per superstep), the run
@@ -79,7 +74,7 @@ pub struct ParallelConfig {
     /// facade handle of the `Her` instance this run serves) instead of
     /// building a fresh one. The handle is still pre-warmed, but the
     /// prewarm reads through the existing memo, so labels embedded by an
-    /// earlier run — sequential, BSP, or async — are never re-embedded.
+    /// earlier run — sequential or BSP — are never re-embedded.
     /// Ignored when [`ParallelConfig::shared_scores`] is `false`.
     pub shared_handle: Option<SharedScores>,
     /// Request-scoped trace context ([`her_obs::ReqCtx`]): tags the
@@ -98,7 +93,6 @@ impl Default for ParallelConfig {
             use_blocking: true,
             simulate_cluster: true,
             fault: FaultPlan::default(),
-            watchdog: Duration::from_secs(10),
             obs: None,
             shared_scores: true,
             shared_handle: None,
@@ -262,10 +256,6 @@ impl<'a> PWorker<'a> {
                 MessageFate::Delay => {
                     self.fault_count("fault.delayed");
                     self.delayed.push((dest, msg));
-                    return;
-                }
-                MessageFate::BlackHole => {
-                    self.fault_count("fault.blackholed");
                     return;
                 }
                 MessageFate::Drop => self.fault_count("fault.dropped"),
@@ -757,11 +747,11 @@ fn write_checkpoint(
 }
 
 /// Shared top-k selection table: vertex → `h_r` output.
-pub(crate) type SelectionMap = her_core::paramatch::Selections;
+type SelectionMap = her_core::paramatch::Selections;
 
 /// Precomputes `h_r` top-k selections for every non-leaf vertex, chunked
 /// across `n` threads.
-pub(crate) fn precompute_selections(g: &Graph, params: &Params, n: usize) -> SelectionMap {
+fn precompute_selections(g: &Graph, params: &Params, n: usize) -> SelectionMap {
     let vertices: Vec<VertexId> = g.vertices().filter(|&v| !g.is_leaf(v)).collect();
     let chunk = vertices.len().div_ceil(n.max(1)).max(1);
     let parts: Vec<SelectionMap> = std::thread::scope(|s| {
@@ -793,17 +783,12 @@ pub(crate) fn precompute_selections(g: &Graph, params: &Params, n: usize) -> Sel
     out
 }
 
-/// Crate-internal re-export for the asynchronous engine.
-pub(crate) fn precompute_selections_pub(g: &Graph, params: &Params, n: usize) -> SelectionMap {
-    precompute_selections(g, params, n)
-}
-
 /// Builds the process-wide shared score layer for a parallel run: one
 /// sharded cache (wired into the `scores.*` counters when `obs` is set)
 /// pre-warmed with the distinct vertex labels of both graphs and the
 /// distinct edge-label sequences of the precomputed selections, so the
 /// worker hot loops perform hash lookups instead of embedding.
-pub(crate) fn build_shared_scores(
+fn build_shared_scores(
     gd: &Graph,
     g: &Graph,
     interner: &Interner,

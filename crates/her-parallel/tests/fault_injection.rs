@@ -1,9 +1,10 @@
 //! Fault-injection integration tests (§VI-B worker recovery).
 //!
-//! Each test runs the parallel engines under a seeded, deterministic
+//! Each test runs the BSP engine under a seeded, deterministic
 //! [`FaultPlan`] — scripted worker panics, poisoned pairs, and seeded
-//! message drop/duplicate/delay streams — and asserts the match set still
-//! equals the failure-free sequential `AllParaMatch` result. The safety
+//! message drop/duplicate/delay streams — in both execution modes
+//! (simulated cluster and real worker threads) and asserts the match set
+//! still equals the failure-free sequential `AllParaMatch` result. The safety
 //! argument is monotone invalidation (see the her-parallel crate docs);
 //! these tests are the executable version of it.
 
@@ -12,7 +13,7 @@ use her_core::paramatch::{Matcher, PairKey};
 use her_core::params::{Params, Thresholds};
 use her_graph::{Graph, GraphBuilder, Interner, VertexId};
 use her_parallel::fault::FaultPlan;
-use her_parallel::{pallmatch, pallmatch_async, ParallelConfig};
+use her_parallel::{pallmatch, ParallelConfig};
 use std::time::Duration;
 
 /// Entities with a non-leaf brand sub-entity (brand → country) so the
@@ -57,10 +58,14 @@ fn sequential(gd: &Graph, g: &Graph, interner: &Interner, p: &Params, us: &[Vert
     apair(&mut m, us, None)
 }
 
-fn faulty_cfg(workers: usize, fault: FaultPlan) -> ParallelConfig {
+/// `simulate_cluster` picks the execution mode: one worker at a time, or
+/// real threads. A plan's one-shot faults fire once across clones, so each
+/// run needs a freshly built plan.
+fn faulty_cfg(workers: usize, fault: FaultPlan, simulate_cluster: bool) -> ParallelConfig {
     ParallelConfig {
         workers,
         use_blocking: false,
+        simulate_cluster,
         fault,
         ..Default::default()
     }
@@ -71,12 +76,15 @@ fn bsp_killed_worker_recovers_to_sequential_result() {
     let (gd, g, interner, us, _) = dataset(12);
     let p = params();
     let expected = sequential(&gd, &g, &interner, &p, &us);
-    // Worker 1 dies before evaluating anything: its fragment and all its
-    // candidate roots must be adopted and verified by the survivors.
-    let plan = FaultPlan::seeded(11).kill_worker(1, 1);
-    let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan));
-    assert_eq!(stats.deaths, 1);
-    assert_eq!(result, expected);
+    for simulate in [true, false] {
+        // Worker 1 dies before evaluating anything: its fragment and all its
+        // candidate roots must be adopted and verified by the survivors.
+        let plan = FaultPlan::seeded(11).kill_worker(1, 1);
+        let cfg = faulty_cfg(4, plan, simulate);
+        let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
+        assert_eq!(stats.deaths, 1, "simulate_cluster={simulate}");
+        assert_eq!(result, expected, "simulate_cluster={simulate}");
+    }
 }
 
 #[test]
@@ -84,16 +92,19 @@ fn bsp_mid_run_kill_with_drop_duplicate_delay() {
     let (gd, g, interner, us, _) = dataset(12);
     let p = params();
     let expected = sequential(&gd, &g, &interner, &p, &us);
-    // Kill after the first exchange, on top of a lossy, duplicating,
-    // reordering transport.
-    let plan = FaultPlan::seeded(42)
-        .kill_worker(2, 2)
-        .drop_messages(0.2)
-        .duplicate_messages(0.2)
-        .delay_messages(0.2);
-    let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan));
-    assert!(stats.deaths >= 1, "the scripted kill must have fired");
-    assert_eq!(result, expected);
+    for simulate in [true, false] {
+        // Kill after the first exchange, on top of a lossy, duplicating,
+        // reordering transport.
+        let plan = FaultPlan::seeded(42)
+            .kill_worker(2, 2)
+            .drop_messages(0.2)
+            .duplicate_messages(0.2)
+            .delay_messages(0.2);
+        let cfg = faulty_cfg(4, plan, simulate);
+        let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
+        assert!(stats.deaths >= 1, "the scripted kill must have fired");
+        assert_eq!(result, expected, "simulate_cluster={simulate}");
+    }
 }
 
 #[test]
@@ -101,10 +112,13 @@ fn bsp_double_death_recovers() {
     let (gd, g, interner, us, _) = dataset(12);
     let p = params();
     let expected = sequential(&gd, &g, &interner, &p, &us);
-    let plan = FaultPlan::seeded(3).kill_worker(0, 1).kill_worker(3, 2);
-    let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan));
-    assert!(stats.deaths >= 1);
-    assert_eq!(result, expected);
+    for simulate in [true, false] {
+        let plan = FaultPlan::seeded(3).kill_worker(0, 1).kill_worker(3, 2);
+        let cfg = faulty_cfg(4, plan, simulate);
+        let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
+        assert!(stats.deaths >= 1);
+        assert_eq!(result, expected, "simulate_cluster={simulate}");
+    }
 }
 
 #[test]
@@ -112,97 +126,37 @@ fn bsp_poisoned_pair_is_transient_and_recovered() {
     let (gd, g, interner, us, vs) = dataset(8);
     let p = params();
     let expected = sequential(&gd, &g, &interner, &p, &us);
-    // The first evaluation of a true match panics its worker; the adopter
-    // re-evaluates it (the poison has fired) and must still report it.
-    let plan = FaultPlan::seeded(5).poison_pair((us[0], vs[0]));
-    let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(3, plan));
-    assert_eq!(stats.deaths, 1);
-    assert_eq!(result, expected);
-    assert!(result.contains(&(us[0], vs[0])));
+    for simulate in [true, false] {
+        // The first evaluation of a true match panics its worker; the adopter
+        // re-evaluates it (the poison has fired) and must still report it.
+        let plan = FaultPlan::seeded(5).poison_pair((us[0], vs[0]));
+        let cfg = faulty_cfg(3, plan, simulate);
+        let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
+        assert_eq!(stats.deaths, 1, "simulate_cluster={simulate}");
+        assert_eq!(result, expected, "simulate_cluster={simulate}");
+        assert!(result.contains(&(us[0], vs[0])));
+    }
 }
 
 #[test]
 fn bsp_seeded_runs_are_reproducible() {
     let (gd, g, interner, us, _) = dataset(10);
     let p = params();
-    let run = || {
+    let run = |simulate| {
         let plan = FaultPlan::seeded(9)
             .kill_worker(1, 2)
             .drop_messages(0.3)
             .duplicate_messages(0.1);
-        pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan))
+        pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan, simulate))
     };
-    let (r1, s1) = run();
-    let (r2, s2) = run();
-    assert_eq!(r1, r2);
-    assert_eq!(s1.deaths, s2.deaths);
-}
-
-#[test]
-fn async_killed_worker_recovers_to_sequential_result() {
-    let (gd, g, interner, us, _) = dataset(12);
-    let p = params();
-    let expected = sequential(&gd, &g, &interner, &p, &us);
-    // Dies at its initial pass: the supervisor reassigns the fragment and
-    // the survivors adopt and re-verify its candidate roots.
-    let plan = FaultPlan::seeded(21).kill_worker(2, 1);
-    let (result, stats) = pallmatch_async(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan));
-    assert_eq!(stats.deaths, 1);
-    assert!(!stats.aborted);
-    assert_eq!(result, expected);
-}
-
-#[test]
-fn async_kill_with_drop_and_duplicate_recovers() {
-    let (gd, g, interner, us, _) = dataset(12);
-    let p = params();
-    let expected = sequential(&gd, &g, &interner, &p, &us);
-    let plan = FaultPlan::seeded(31)
-        .kill_worker(1, 1)
-        .drop_messages(0.2)
-        .duplicate_messages(0.2);
-    let (result, stats) = pallmatch_async(&gd, &g, &interner, &p, &us, &faulty_cfg(4, plan));
-    assert!(stats.deaths >= 1);
-    assert!(!stats.aborted);
-    assert_eq!(result, expected);
-}
-
-#[test]
-fn async_poisoned_pair_is_transient_and_recovered() {
-    let (gd, g, interner, us, vs) = dataset(8);
-    let p = params();
-    let expected = sequential(&gd, &g, &interner, &p, &us);
-    let plan = FaultPlan::seeded(51).poison_pair((us[0], vs[0]));
-    let (result, stats) = pallmatch_async(&gd, &g, &interner, &p, &us, &faulty_cfg(3, plan));
-    assert_eq!(stats.deaths, 1);
-    assert_eq!(result, expected);
-}
-
-#[test]
-fn async_watchdog_terminates_black_hole_run() {
-    let (gd, g, interner, us, _) = dataset(10);
-    let p = params();
-    // Half of all messages vanish after being accounted: without the
-    // watchdog the in-flight counter would never drain and the run would
-    // hang forever.
-    let cfg = ParallelConfig {
-        workers: 4,
-        use_blocking: false,
-        fault: FaultPlan::seeded(61).black_hole_messages(0.5),
-        watchdog: Duration::from_millis(300),
-        ..Default::default()
-    };
-    let start = std::time::Instant::now();
-    let (result, stats) = pallmatch_async(&gd, &g, &interner, &p, &us, &cfg);
-    assert!(
-        start.elapsed() < Duration::from_secs(30),
-        "watchdog must terminate the run"
-    );
-    // The only guarantee under permanent message loss is *termination with
-    // a report*: either every protocol message survived (complete run) or
-    // the watchdog fired and flagged the result as partial.
-    if !stats.aborted {
-        assert_eq!(result, sequential(&gd, &g, &interner, &p, &us));
+    // Per-worker fate streams and barrier routing do not depend on thread
+    // scheduling: a simulated rerun, a threaded run and a threaded rerun all
+    // reproduce the first run.
+    let (r1, s1) = run(true);
+    for simulate in [true, false, false] {
+        let (r2, s2) = run(simulate);
+        assert_eq!(r1, r2, "simulate_cluster={simulate}");
+        assert_eq!(s1.deaths, s2.deaths, "simulate_cluster={simulate}");
     }
 }
 
@@ -248,8 +202,8 @@ fn zero_traffic_partition_still_correct() {
     let (gd, g, interner, us, _) = dataset(8);
     let p = params();
     let expected = sequential(&gd, &g, &interner, &p, &us);
-    let (result, stats) =
-        pallmatch(&gd, &g, &interner, &p, &us, &faulty_cfg(3, FaultPlan::default()));
+    let cfg = faulty_cfg(3, FaultPlan::default(), true);
+    let (result, stats) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
     assert_eq!(stats.requests, 0, "fixture must exercise the zero-traffic path");
     assert_eq!(result, expected);
 }

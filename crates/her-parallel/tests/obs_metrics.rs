@@ -7,7 +7,7 @@ use her_core::params::{Params, Thresholds};
 use her_graph::{Graph, GraphBuilder, Interner, VertexId};
 use her_obs::{EventKind, Obs};
 use her_parallel::fault::FaultPlan;
-use her_parallel::{pallmatch, pallmatch_async, ParallelConfig};
+use her_parallel::{pallmatch, ParallelConfig};
 
 /// Entities with a non-leaf brand sub-entity (brand → country) so the
 /// recursion crosses fragment boundaries — the fault-injection fixture.
@@ -114,37 +114,6 @@ fn fault_injected_bsp_run_records_death_and_recovery() {
     let clean_snap = clean_obs.registry.snapshot();
     assert_eq!(clean_snap.counter("bsp.worker_deaths"), 0);
     assert_eq!(clean_snap.counter("bsp.recoveries"), 0);
-}
-
-#[test]
-fn fault_injected_async_run_records_death_and_recovery() {
-    let (gd, g, interner, us) = dataset(10);
-    let p = params();
-
-    let clean_obs = Obs::new();
-    let (clean, _) = pallmatch_async(
-        &gd,
-        &g,
-        &interner,
-        &p,
-        &us,
-        &cfg(FaultPlan::default(), &clean_obs),
-    );
-
-    let obs = Obs::new();
-    let plan = FaultPlan::seeded(23).kill_worker(2, 1);
-    let (faulty, stats) = pallmatch_async(&gd, &g, &interner, &p, &us, &cfg(plan, &obs));
-
-    assert_eq!(faulty, clean);
-    assert_eq!(stats.deaths, 1);
-    assert!(!stats.aborted);
-
-    let snap = obs.registry.snapshot();
-    if her_obs::ENABLED {
-        assert!(snap.counter("async.worker_deaths") >= 1);
-        assert!(snap.counter("async.recoveries") >= 1);
-        assert_eq!(snap.counter("async.watchdog_aborts"), 0);
-    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! sequential algorithms on full datasets (Theorem 3).
 
 use her::core::apair::apair;
-use her::parallel::{pallmatch, pallmatch_async, pvpair, ParallelConfig};
+use her::parallel::{pallmatch, pvpair, ParallelConfig};
 use her::prelude::*;
 
 fn system_on(dataset: &her::datagen::LinkedDataset) -> Her {
@@ -138,14 +138,14 @@ fn threaded_and_simulated_agree() {
     assert_eq!(run(true), run(false));
 }
 
-/// Satellite (ISSUE 5): both parallel engines accept the facade's
-/// prewarmed `SharedScores` handle. Running `pallmatch` and then
-/// `pallmatch_async` on the same `Her` instance with its handle embeds
-/// each distinct label exactly once across BOTH runs — the async run's
-/// prewarm reads through the memo the BSP run filled and performs zero
-/// re-embeds — without changing a single match.
+/// `pallmatch` accepts the facade's prewarmed `SharedScores` handle.
+/// Two runs on the same `Her` instance with its handle — 4 simulated
+/// workers, then 2 on real threads — embed each distinct label exactly
+/// once across BOTH: the second run's prewarm reads through the memo the
+/// first filled and performs zero re-embeds, without changing a single
+/// match.
 #[test]
-fn facade_handle_is_reused_across_bsp_then_async() {
+fn facade_handle_is_reused_across_bsp_runs() {
     let dataset = her::datagen::ukgov::generate_sized(40, 31);
     let system = system_on(&dataset);
     let us = tuple_vertices(&system, &dataset);
@@ -153,34 +153,31 @@ fn facade_handle_is_reused_across_bsp_then_async() {
         .shared_scores
         .clone()
         .expect("facade handle on by default");
-    let cfg = ParallelConfig {
-        workers: 4,
-        use_blocking: false,
-        shared_handle: Some(shared.clone()),
-        ..Default::default()
+    let run = |workers, simulate_cluster| {
+        pallmatch(
+            &system.cg.graph,
+            &system.g,
+            &system.cg.interner,
+            &system.params,
+            &us,
+            &ParallelConfig {
+                workers,
+                use_blocking: false,
+                simulate_cluster,
+                shared_handle: Some(shared.clone()),
+                ..Default::default()
+            },
+        )
+        .0
     };
-    let (bsp, _) = pallmatch(
-        &system.cg.graph,
-        &system.g,
-        &system.cg.interner,
-        &system.params,
-        &us,
-        &cfg,
-    );
-    let embeds_after_bsp = shared.embed_calls();
-    assert!(embeds_after_bsp > 0, "BSP prewarm must have embedded");
-    let (asynchronous, _) = pallmatch_async(
-        &system.cg.graph,
-        &system.g,
-        &system.cg.interner,
-        &system.params,
-        &us,
-        &cfg,
-    );
+    let first = run(4, true);
+    let embeds_after_first = shared.embed_calls();
+    assert!(embeds_after_first > 0, "first prewarm must have embedded");
+    let second = run(2, false);
     assert_eq!(
         shared.embed_calls(),
-        embeds_after_bsp,
-        "async run re-embedded labels the shared handle already holds"
+        embeds_after_first,
+        "second run re-embedded labels the shared handle already holds"
     );
-    assert_eq!(asynchronous, bsp);
+    assert_eq!(second, first);
 }
