@@ -378,9 +378,8 @@ fn is_keyword(s: &str) -> bool {
 
 /// Rule 4 — `her::unregistered_metric`: every metric name passed to
 /// `.counter("…")` / `.gauge("…")` / `.histogram("…")` must appear in the
-/// central preregistration list (`her-obs::names`), so dashboards and the
-/// bench harness can enumerate the full telemetry surface without running
-/// every engine. Dynamic (non-literal) name sites cannot be checked and
+/// central preregistration list (`her-obs::names`), so dashboards can
+/// enumerate the full telemetry surface without running every engine. Dynamic (non-literal) name sites cannot be checked and
 /// need a waiver. The reverse direction — registered but never used — is
 /// checked workspace-wide in [`crate::check_workspace`].
 fn unregistered_metric(

@@ -24,7 +24,7 @@
 //! - **Accounting.** The handle counts `M_v` embedding computations and
 //!   memo hits on both tiers ([`SharedScores::add_hits`]), mirrored by
 //!   [`SharedScores::with_obs_for_workers`] into the `scores.embed_calls`
-//!   / `scores.shared_hits` counters the bench harness and CI assert on.
+//!   / `scores.shared_hits` counters that tests and `her-benchmark` read.
 //! - **Equivalence.** `SentenceModel::embed` and `PathSimModel::encode`/
 //!   `score_vecs` are deterministic pure functions of the (frozen during
 //!   matching) model parameters and both tiers are pure memos over them:

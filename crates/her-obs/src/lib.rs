@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency tracing + metrics, threaded through every execution
 //! layer (`her-core`'s ParaMatch recursion, `her-parallel`'s BSP
-//! engine, the baselines, the CLI, and the bench harness).
+//! engine, the baselines, the server, the CLI, and `her-benchmark`).
 //!
 //! Three pieces:
 //!

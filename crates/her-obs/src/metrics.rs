@@ -580,7 +580,7 @@ mod tests {
         let r = Registry::new();
         r.counter("serve.requests").add(3);
         r.counter("flight.records").add(1);
-        r.gauge("serve.qps").set(12.5);
+        r.gauge("serve.queue_depth").set(12.5);
         let h = r.histogram("serve.req.exec_us");
         h.observe(7);
         h.observe(900);
@@ -592,7 +592,7 @@ mod tests {
         if ENABLED {
             assert_eq!(lines[1], "counter flight.records 1");
             assert_eq!(lines[2], "counter serve.requests 3");
-            assert_eq!(lines[3], "gauge serve.qps 12.5");
+            assert_eq!(lines[3], "gauge serve.queue_depth 12.5");
             assert!(lines[4].starts_with("hist serve.req.exec_us count=2 sum=907 max=900 p50="));
         }
         // Every line obeys the three-production grammar.

@@ -3,8 +3,8 @@
 //! Every counter, gauge and histogram name the workspace uses must
 //! appear here, and everything here must be used — both directions are
 //! machine-checked by `her-analysis` (`her::unregistered_metric`).
-//! Dashboards, the bench harness and `her-cli obs` can therefore
-//! enumerate the full telemetry surface without running every engine.
+//! Dashboards and `her-cli obs` can therefore enumerate the full
+//! telemetry surface without running every engine.
 //!
 //! Names are `family.metric` (dots, snake_case). Dynamic families —
 //! names built with `format!` at runtime — are NOT listed (the call
@@ -36,9 +36,6 @@ pub const ALL: &[&str] = &[
     "flight.anomalies",
     "flight.dump_failures",
     "flight.dumps",
-    "flight.p50_exec_us.apair",
-    "flight.p50_exec_us.stream",
-    "flight.p50_exec_us.vpair",
     "flight.records",
     // parallel: run-level accounting of a pallmatch run
     "parallel.invalidations",
@@ -58,7 +55,6 @@ pub const ALL: &[&str] = &[
     "paramatch.exhausted",
     "paramatch.lineage_size",
     // scores: the shared embedding/score memo
-    "scores.distinct_labels",
     "scores.embed_calls",
     // scores.pool: the warm-matcher checkout pool
     "scores.pool.hits",
@@ -75,17 +71,11 @@ pub const ALL: &[&str] = &[
     "serve.health.heals",
     "serve.health.probe_failures",
     "serve.health.probes",
-    "serve.health.read_p99_healthy_us",
     "serve.health.reaped",
     "serve.health.rejected",
     "serve.health.state",
     "serve.health.transitions",
     "serve.inflight",
-    "serve.p99_us",
-    // serve.pool: warm-matcher reuse on the serving path (hit_rate is
-    // hits / (hits + misses), distilled by the bench harness)
-    "serve.pool.hit_rate",
-    "serve.qps",
     "serve.queue_depth",
     "serve.req.exec_us",
     "serve.req.minted",
@@ -100,9 +90,7 @@ pub const ALL: &[&str] = &[
     "serve.shed",
     "serve.stream_ops",
     // store: snapshots, WAL, checkpoints
-    "store.checkpoint_bytes_total",
     "store.checkpoint_failures",
-    "store.checkpoint_secs_total",
     "store.corrupt_snapshots_skipped",
     // store.iofault: injected-fault accounting from FaultVfs + the
     // serve-side WAL retry counter

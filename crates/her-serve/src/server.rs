@@ -32,7 +32,7 @@ use crate::proto::{
 use crate::watchdog::{self, Watchdog};
 use her_core::paramatch::MatchStats;
 use her_core::stream::{DurableStreamLinker, StreamCheckpoint};
-use her_core::{Budget, CancelToken, ExhaustReason, Her, MatcherOptions, MatcherPool};
+use her_core::{Budget, CancelToken, ExhaustReason, Her, MatcherPool};
 use her_graph::LabelId;
 use her_obs::flight::{anomaly, op};
 use her_obs::{info, FlightRecord, FlightRecorder, ReqCtx};
@@ -105,10 +105,6 @@ pub struct ServeConfig {
     /// the v3-compatible default; a v4 stream op naming a new session
     /// opens it lazily until this limit, then gets a usage error.
     pub max_sessions: usize,
-    /// Warm matchers retained by the checkout pool serving vpair/apair
-    /// (0 disables pooling: every request builds a fresh matcher, the
-    /// pre-pool behavior the bench ablates against).
-    pub matcher_pool: usize,
 }
 
 impl std::fmt::Debug for ServeConfig {
@@ -132,7 +128,6 @@ impl std::fmt::Debug for ServeConfig {
             .field("wal_retry_backoff_ms", &self.wal_retry_backoff_ms)
             .field("probe_interval_ms", &self.probe_interval_ms)
             .field("max_sessions", &self.max_sessions)
-            .field("matcher_pool", &self.matcher_pool)
             .finish_non_exhaustive()
     }
 }
@@ -157,7 +152,6 @@ impl Default for ServeConfig {
             wal_retry_backoff_ms: 5,
             probe_interval_ms: 200,
             max_sessions: 4,
-            matcher_pool: 4,
         }
     }
 }
@@ -527,14 +521,14 @@ impl Server {
         }
 
         // Warm-matcher pool: vpair/apair handlers check matchers out
-        // instead of rebuilding verdict caches per request.
-        let pool = (self.cfg.matcher_pool > 0).then(|| {
-            let p = MatcherPool::new(her, self.cfg.matcher_pool);
-            match &obs {
-                Some(o) => p.with_obs(o.clone()),
-                None => p,
-            }
-        });
+        // instead of rebuilding verdict caches per request. At most
+        // `max_inflight` requests run at once, so that many slots keep
+        // every concurrently used matcher warm.
+        let pool = MatcherPool::new(her, self.cfg.max_inflight);
+        let pool = match &obs {
+            Some(o) => pool.with_obs(o.clone()),
+            None => pool,
+        };
 
         let admission = Admission::new(
             self.cfg.max_inflight,
@@ -630,7 +624,7 @@ impl Server {
                     cfg: &self.cfg,
                     her,
                     sessions: sessions.as_ref(),
-                    pool: pool.as_ref(),
+                    pool: &pool,
                     admission: &admission,
                     shutdown: &shutdown,
                     self_addr: self.addr,
@@ -688,7 +682,7 @@ struct Handler<'s, 'h> {
     cfg: &'s ServeConfig,
     her: &'s Her,
     sessions: Option<&'s SessionRegistry<'h>>,
-    pool: Option<&'s MatcherPool<'h>>,
+    pool: &'s MatcherPool<'h>,
     admission: &'s Admission,
     shutdown: &'s AtomicBool,
     self_addr: SocketAddr,
@@ -1144,22 +1138,8 @@ impl<'h> Handler<'_, 'h> {
         b
     }
 
-    fn matcher_opts(
-        &self,
-        max_calls: u64,
-        deadline: Option<Instant>,
-        ctx: ReqCtx,
-    ) -> MatcherOptions {
-        MatcherOptions {
-            budget: self.budget(max_calls, deadline),
-            obs: self.obs.cloned(),
-            ctx,
-            ..Default::default()
-        }
-    }
-
     /// Runs one admitted data-plane request. Returns the reply plus the
-    /// matcher work counters, exhaustion, and the matcher-pool checkout
+    /// matcher work counters, exhaustion, and the matcher pool checkout
     /// wait for the flight record.
     fn execute(
         &self,
@@ -1175,55 +1155,34 @@ impl<'h> Handler<'_, 'h> {
                 if !self.her.cg.has_tuple(tuple) {
                     return (unknown_tuple_reply(tuple), plain, None, 0);
                 }
-                let (run, pool_wait_us) = match self.pool {
-                    Some(pool) => {
-                        let (run, ticket) = self.her.try_vpair_pooled(
-                            pool,
-                            tuple,
-                            self.budget(max_calls, deadline),
-                            CancelToken::new(),
-                            ctx,
-                        );
-                        (run, ticket.wait_us)
-                    }
-                    None => (
-                        self.her
-                            .try_vpair(tuple, self.matcher_opts(max_calls, deadline, ctx)),
-                        0,
-                    ),
-                };
+                let (run, ticket) = self.her.try_vpair_pooled(
+                    self.pool,
+                    tuple,
+                    self.budget(max_calls, deadline),
+                    CancelToken::new(),
+                    ctx,
+                );
                 let reply = Reply::Vpair {
                     matches: run.matches,
                     unresolved: run.unresolved,
                     exhausted: run.exhausted,
                     trace_id: ctx.trace_id,
                 };
-                (reply, run.stats, run.exhausted, pool_wait_us)
+                (reply, run.stats, run.exhausted, ticket.wait_us)
             }
             Request::Apair { max_calls, .. } => {
-                let (matches, exhausted, stats, pool_wait_us) = match self.pool {
-                    Some(pool) => {
-                        let (matches, exhausted, stats, ticket) = self.her.try_apair_stats_pooled(
-                            pool,
-                            self.budget(max_calls, deadline),
-                            CancelToken::new(),
-                            ctx,
-                        );
-                        (matches, exhausted, stats, ticket.wait_us)
-                    }
-                    None => {
-                        let (matches, exhausted, stats) = self
-                            .her
-                            .try_apair_stats(self.matcher_opts(max_calls, deadline, ctx));
-                        (matches, exhausted, stats, 0)
-                    }
-                };
+                let (matches, exhausted, stats, ticket) = self.her.try_apair_stats_pooled(
+                    self.pool,
+                    self.budget(max_calls, deadline),
+                    CancelToken::new(),
+                    ctx,
+                );
                 let reply = Reply::Apair {
                     matches,
                     exhausted,
                     trace_id: ctx.trace_id,
                 };
-                (reply, stats, exhausted, pool_wait_us)
+                (reply, stats, exhausted, ticket.wait_us)
             }
             Request::StreamProcess { tuple, session } => {
                 let reply = self.stream_op(session, |s| {

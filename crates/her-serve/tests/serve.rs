@@ -189,6 +189,12 @@ fn saturated_server_sheds_with_busy_and_counts_it() {
         "every retry attempt should shed"
     );
     assert!(snap.counter("serve.requests") >= 3);
+    assert!(snap.counter("serve.connections") >= 1);
+    assert_eq!(
+        snap.histogram("serve.request_us").map(|h| h.count),
+        Some(snap.counter("serve.requests")),
+        "every request is timed server-side, shed or not"
+    );
 }
 
 #[test]
@@ -245,6 +251,63 @@ fn exhausted_requests_return_sound_partials() {
             other => panic!("unexpected reply: {other:?}"),
         }
     });
+}
+
+/// The other half of the budget contract (DESIGN §4k): a budget caps
+/// fresh `ParaMatch` calls, not answers. A warm pooled matcher that has
+/// already decided a tuple answers the same request under `max_calls: 1`
+/// from its verdict cache — complete, not exhausted.
+#[test]
+fn warm_matcher_answers_a_capped_request_from_its_cache() {
+    let (her, ts, _) = system();
+    let obs = her_obs::Obs::new();
+    // Tracing off: ids are minted and flight records filed either way.
+    let cfg = ServeConfig {
+        obs: Some(obs.clone()),
+        trace_sample_1_in: 0,
+        ..Default::default()
+    };
+    with_server(&her, cfg, |client| {
+        let mut vpair = |max_calls| match client
+            .request(&Request::Vpair {
+                tuple: ts[0],
+                max_calls,
+                deadline_ms: 0,
+            })
+            .expect("vpair")
+        {
+            Reply::Vpair {
+                matches,
+                exhausted,
+                trace_id,
+                ..
+            } => (matches, exhausted, trace_id),
+            other => panic!("unexpected reply: {other:?}"),
+        };
+        let (full, exhausted, _) = vpair(0);
+        assert_eq!(exhausted, None);
+        let (capped, exhausted, capped_id) = vpair(1);
+        assert_eq!(exhausted, None, "the warm verdict cache needs no fresh call");
+        assert_eq!(capped, full);
+
+        // One connection, so one matcher: built cold by the first request,
+        // reused by the second, whose record files the checkout inside exec.
+        let records = match client.request(&Request::Flight).expect("flight") {
+            Reply::Flight { records } => records,
+            other => panic!("unexpected reply: {other:?}"),
+        };
+        let rec = records
+            .iter()
+            .find(|r| r.trace_id == capped_id)
+            .expect("capped request in the ring");
+        assert_eq!((rec.calls, rec.exhaust), (0, 0));
+        assert!(rec.cache_hits >= 1, "answered without the cache: {rec:?}");
+        assert!(rec.pool_wait_us <= rec.exec_us, "checkout outside exec: {rec:?}");
+    });
+    let snap = obs.registry.snapshot();
+    assert_eq!(snap.counter("scores.pool.misses"), 1);
+    assert!(snap.counter("scores.pool.hits") >= 1);
+    assert_eq!(snap.counter("serve.req.sampled"), 0);
 }
 
 /// Streams `ops` tuples through a server-backed session and returns the
@@ -500,20 +563,34 @@ fn introspection_traces_requests_and_dumps_anomalies() {
     let dir = tempdir("introspection");
     let flight_path = dir.join("flight.hlog");
 
-    // Phase 1: a healthy server. One full request, one budget-exhausted
+    // Phase 1: a healthy server. One budget-exhausted request, one full
     // request, one undecodable payload (deterministic DECODE anomaly).
     let obs = her_obs::Obs::new();
-    // Pool off: a warm pooled matcher can spend a capped budget entirely on
-    // cache/shared hits (zero fresh calls), and this test pins the cold-matcher
-    // flight-record shape (exhausted request with calls >= 1).
     let cfg = ServeConfig {
         obs: Some(obs.clone()),
         flight_path: Some(flight_path.clone()),
-        matcher_pool: 0,
         ..Default::default()
     };
     with_server(&her, cfg, |client| {
         let addr = client.addr().to_owned();
+
+        // A budget-exhausted request records its spend and reason. It goes
+        // first: a fresh server's pool is empty, so this checkout builds a
+        // cold matcher, and only a cold matcher is certain to spend the
+        // budget on a fresh call (see
+        // `warm_matcher_answers_a_capped_request_from_its_cache`).
+        match client
+            .request(&Request::Vpair {
+                tuple: ts[1],
+                max_calls: 1,
+                deadline_ms: 0,
+            })
+            .expect("exhausted vpair")
+        {
+            Reply::Vpair { exhausted, .. } => assert!(exhausted.is_some()),
+            other => panic!("unexpected reply: {other:?}"),
+        }
+
         let traced = match client
             .request(&Request::Vpair {
                 tuple: ts[0],
@@ -546,19 +623,6 @@ fn introspection_traces_requests_and_dumps_anomalies() {
                     "foreign events leaked into the trace"
                 );
             }
-            other => panic!("unexpected reply: {other:?}"),
-        }
-
-        // A budget-exhausted request records its spend and reason.
-        match client
-            .request(&Request::Vpair {
-                tuple: ts[1],
-                max_calls: 1,
-                deadline_ms: 0,
-            })
-            .expect("exhausted vpair")
-        {
-            Reply::Vpair { exhausted, .. } => assert!(exhausted.is_some()),
             other => panic!("unexpected reply: {other:?}"),
         }
 
@@ -613,6 +677,11 @@ fn introspection_traces_requests_and_dumps_anomalies() {
     });
     let snap = obs.registry.snapshot();
     assert!(snap.counter("serve.req.minted") >= 3);
+    assert_eq!(
+        snap.counter("serve.req.sampled"),
+        snap.counter("serve.req.minted"),
+        "the default samples 1-in-1"
+    );
     assert!(snap.counter("flight.anomalies") >= 1);
     assert_eq!(snap.counter("flight.dumps"), snap.counter("flight.anomalies"));
 

@@ -183,6 +183,9 @@ fn degraded_server_rejects_writes_serves_reads_and_self_heals() {
         let (m, applied) = matches_of(client);
         assert_eq!(applied, 2, "rejected op must not be applied");
         assert!(!m.is_empty(), "degraded reads must still serve");
+        client
+            .request(&Request::Vpair { tuple: ts[0], max_calls: 0, deadline_ms: 0 })
+            .expect("degraded matching reads must still serve");
 
         // Let the prober fail at least once (its probe file stays
         // behind as quarantined evidence), then heal the disk.
@@ -234,18 +237,25 @@ fn degraded_server_rejects_writes_serves_reads_and_self_heals() {
     assert!(snap.counter("serve.health.rejected") >= 1);
     assert!(snap.counter("store.iofault.fsync_failures") >= 3);
     assert!(snap.gauge("serve.health.heal_ms") >= 0.0);
+    // The snapshot postdates the clean shutdown, so the state gauge
+    // reads Down — the heal itself is in the counters above.
+    assert_eq!(snap.gauge("serve.health.state"), 3.0);
 
     // Warm restart: the durable prefix is exactly the acked ops — the
     // rejected attempt fabricated nothing, the heal lost nothing.
     let cfg = ServeConfig {
         wal: Some(wal),
-        obs: Some(obs),
+        obs: Some(obs.clone()),
         ..Default::default()
     };
     with_server(&her, cfg, |client| {
         let (_, applied) = matches_of(client);
         assert_eq!(applied, 3, "restart state differs from acked ops");
     });
+    assert!(
+        obs.registry.snapshot().counter("serve.restart_replay_us") > 0,
+        "the restart did not report its replay cost"
+    );
 }
 
 /// A request stuck past 2× its deadline on a slow device must not pin

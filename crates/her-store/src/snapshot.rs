@@ -389,7 +389,12 @@ mod tests {
         let snap = store.load_latest().unwrap().expect("fallback found");
         assert_eq!(snap.section("state"), Some(b"old".as_slice()));
         if her_obs::ENABLED {
-            assert!(obs.snapshot().counter("store.corrupt_snapshots_skipped") >= 1);
+            let m = obs.snapshot();
+            assert!(m.counter("store.corrupt_snapshots_skipped") >= 1);
+            assert_eq!(m.counter("store.snapshots_written"), 2);
+            for h in ["store.snapshot.bytes", "store.snapshot.write_us"] {
+                assert_eq!(m.histogram(h).map(|h| h.count), Some(2), "{h}");
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

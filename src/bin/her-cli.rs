@@ -35,15 +35,14 @@
 //! serve options:
 //!   --addr HOST:PORT     bind address (default 127.0.0.1:0 = ephemeral)
 //!   --port-file FILE     write the bound address for scripts to discover
-//!   --max-inflight N     concurrent requests admitted (default 4)
+//!   --max-inflight N     concurrent requests admitted (default 4); also
+//!                        the warm matchers kept for vpair/apair requests
 //!   --max-queue N        requests that may wait for a slot (default 16)
 //!   --deadline-ms MS     serve: default per-request deadline
 //!   --snapshot-dir DIR   checkpoint-backed warm restart state
 //!   --snapshot-every-ops N    snapshot cadence (default 8)
 //!   --max-sessions N     stream sessions servable at once (default 4;
 //!                        each gets its own WAL + snapshot namespace)
-//!   --matcher-pool N     warm matchers kept for vpair/apair requests
-//!                        (default 4; 0 = build one per request)
 //!   --fault-seed N --fault-drop N --fault-delay N --fault-delay-ms MS
 //!   --fault-truncate N --fault-garble N --fault-kill N
 //!                        seeded reply-path fault plan (1-in-N; 0 = off)
@@ -167,7 +166,7 @@ fn usage() {
          \t[--metrics-out FILE] [--trace] [-v | -vv]\n\
        serve: [--addr HOST:PORT] [--port-file FILE] [--max-inflight N] [--max-queue N] \\\n\
          \t[--snapshot-dir DIR] [--snapshot-every-ops N] \\\n\
-         \t[--max-sessions N] [--matcher-pool N] [--fault-* ...]\n\
+         \t[--max-sessions N] [--fault-* ...]\n\
        query: --addr HOST:PORT | --port-file FILE  --op OP [--tuple N] [--vertex N] \\\n\
          \t[--session N] [--id N] [--format table|json] \\\n\
          \t[--max-calls N] [--deadline-ms MS] [--timeout-ms MS] [--retries N] [--retry-seed N]\n\
@@ -601,9 +600,6 @@ fn run(mode: &str, opts: &HashMap<String, String>) -> Result<(), HerError> {
                 }
                 if let Some(n) = opts.get("max-sessions") {
                     scfg.max_sessions = numeric(n, "max-sessions")?;
-                }
-                if let Some(n) = opts.get("matcher-pool") {
-                    scfg.matcher_pool = numeric(n, "matcher-pool")?;
                 }
                 scfg.wal = opts.get("wal").map(Into::into);
                 scfg.snapshot_dir = opts.get("snapshot-dir").map(Into::into);

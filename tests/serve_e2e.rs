@@ -65,7 +65,7 @@ fn spawn_server(dir: &Path, common: &[&str], port_file: &str, extra: &[&str]) ->
     args.extend(common);
     args.extend(["--port-file", port_file]);
     args.extend(extra);
-    let child = Command::new(bin())
+    let mut child = Command::new(bin())
         .current_dir(dir)
         .args(&args)
         .stdout(Stdio::null())
@@ -74,16 +74,20 @@ fn spawn_server(dir: &Path, common: &[&str], port_file: &str, extra: &[&str]) ->
         .expect("spawn her-cli serve");
     let path = dir.join(port_file);
     let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if let Ok(s) = fs::read_to_string(&path) {
-            let addr = s.trim().to_owned();
-            if !addr.is_empty() {
-                return (child, addr);
-            }
+    let addr = loop {
+        match fs::read_to_string(&path) {
+            Ok(s) if !s.trim().is_empty() => break Some(s.trim().to_owned()),
+            _ if Instant::now() >= deadline => break None,
+            _ => std::thread::sleep(Duration::from_millis(20)),
         }
-        assert!(Instant::now() < deadline, "server never wrote {port_file}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    };
+    let Some(addr) = addr else {
+        // Reap before failing, or the server outlives the test.
+        let _ = child.kill();
+        let _ = child.wait();
+        panic!("server never wrote {port_file}");
+    };
+    (child, addr)
 }
 
 fn query(dir: &Path, addr: &str, rest: &[&str]) -> Output {
@@ -159,18 +163,18 @@ fn overloaded_server_sheds_with_exit_code_4() {
 fn budget_exhaustion_returns_sound_partials_with_exit_code_3() {
     let dir = scratch("exhaust");
     let common = demo(&dir);
-    // Pool off: a warm pooled matcher would satisfy the capped repeat
-    // request from its verdict cache (zero fresh calls) and never
-    // exhaust. This drill pins the cold-matcher budget semantics.
-    let (child, addr) = spawn_server(&dir, &common, "port.txt", &["--matcher-pool", "0"]);
+    let (child, addr) = spawn_server(&dir, &common, "port.txt", &[]);
+
+    // The capped request goes first: a fresh server's matcher pool is
+    // empty, so it runs on a cold matcher (a warm one would answer the
+    // repeat from its verdict cache and never exhaust). One matcher call
+    // cannot finish the demo workload: the reply must be a sound partial
+    // (subset of the full answer) with exit code 3.
+    let capped = query(&dir, &addr, &["--op", "apair", "--max-calls", "1"]);
+    assert_eq!(capped.status.code(), Some(3), "expected exit 3: {capped:?}");
 
     let full = query(&dir, &addr, &["--op", "apair"]);
     assert!(full.status.success(), "full apair failed: {full:?}");
-
-    // One matcher call cannot finish the demo workload: the reply must be
-    // a sound partial (subset of the full answer) with exit code 3.
-    let capped = query(&dir, &addr, &["--op", "apair", "--max-calls", "1"]);
-    assert_eq!(capped.status.code(), Some(3), "expected exit 3: {capped:?}");
     let full_out = stdout(&full);
     for line in stdout(&capped).lines() {
         assert!(
