@@ -17,7 +17,7 @@ impl State {
         let (_tx, _rx) = mpsc::channel::<u32>();
         Arc::new(State {
             counter: AtomicU64::new(0),
-            table: Mutex::new(rank::FAULT_KILLS, Vec::new()),
+            table: Mutex::new(rank::FAULT, Vec::new()),
             index: RwLock::new(rank::PARTITION, Vec::new()),
         })
     }

@@ -1,9 +1,11 @@
-//! `her-analysis` — the workspace's own static analyzer.
+//! `her-analysis` — the workspace's own linter: a small lexer plus nine
+//! repo-specific per-file rules.
 //!
 //! `cargo run -p her-analysis -- check` lexes every first-party Rust
 //! source (crates/*, src/, tests/, benches/ — vendored code excluded)
-//! and enforces the repo-specific rules in [`rules`]. Findings can be
-//! waived in place with a justified comment:
+//! and enforces the rules in [`rules`]. Findings can be waived in place
+//! with a justified comment, on the finding's line or on the header of
+//! an enclosing item:
 //!
 //! ```text
 //! // #[allow(her::unregistered_metric)] — names are `fault.<kind>`, all in names::ALL
@@ -13,15 +15,11 @@
 //! (one positive and one violation file per rule), and the whole
 //! workspace must come back clean in CI (`lint` job).
 
-pub mod budget;
-pub mod callgraph;
 pub mod ir;
 pub mod lexer;
-pub mod lockgraph;
 pub mod report;
 pub mod rules;
 
-use lockgraph::Edge;
 use rules::{Finding, MetricNames};
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -63,144 +61,45 @@ fn walk(dir: &Path, root: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lints the whole workspace: per-file rules, the workspace-level
-/// reverse metric check (registered but never used), and the
-/// interprocedural passes (static lock order, budget threading).
+/// Lints the whole workspace: the per-file rules plus the
+/// workspace-level reverse metric check (registered but never used).
 /// Findings come back with waivers already applied; callers fail on any
 /// `!waived` entry.
 pub fn check_workspace(root: &Path) -> (Vec<Finding>, usize) {
-    let (findings, files, _) = check_workspace_full(root, false);
-    (findings, files)
-}
-
-/// As [`check_workspace`], additionally returning the static lock graph
-/// edges (for `graph --dot` / `check-edges`) and honouring `--strict`.
-pub fn check_workspace_full(root: &Path, strict: bool) -> (Vec<Finding>, usize, Vec<Edge>) {
     let names_src = fs::read_to_string(root.join(NAMES_RS)).unwrap_or_default();
     let metrics = MetricNames::parse(&names_src);
     let files = workspace_files(root);
-    let mut sources: Vec<(String, String)> = Vec::new();
+    let mut findings = Vec::new();
+    let mut used: Vec<String> = Vec::new();
     for rel in &files {
         let Ok(src) = fs::read_to_string(root.join(rel)) else {
             continue;
         };
-        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
-    }
-    let mut findings = Vec::new();
-    let mut used: Vec<String> = Vec::new();
-    for (rel_s, src) in &sources {
-        findings.extend(rules::analyze_file(rel_s, src, &metrics));
-        collect_metric_uses(src, &mut used);
+        let rel_s = rel.to_string_lossy().replace('\\', "/");
+        findings.extend(rules::analyze_file(&rel_s, &src, &metrics));
+        collect_metric_uses(&src, &mut used);
     }
     // Reverse direction: every preregistered name must be used somewhere
     // (literal use anywhere, test code included). Entries for dynamic
     // name families carry a waiver comment in names.rs itself.
-    let names_lexed = lexer::lex(&names_src);
-    for (name, line) in &metrics.names {
-        if !used.iter().any(|u| u == name) {
-            findings.push(Finding {
-                rule: rules::UNREGISTERED_METRIC,
-                path: NAMES_RS.to_string(),
-                line: *line,
-                message: format!(
-                    "metric `{name}` is preregistered but never used by a literal call site"
-                ),
-                waived: false,
-            });
-        }
-    }
-    // Waivers inside names.rs apply to the reverse-direction findings.
-    for f in findings.iter_mut() {
-        if f.path == NAMES_RS && !f.waived {
-            let short = f.rule.trim_start_matches("her::");
-            if names_lexed
-                .waivers
-                .iter()
-                .any(|w| w.rule == short && (w.line == f.line || w.line + 1 == f.line))
-            {
-                f.waived = true;
-            }
-        }
-    }
-    // Interprocedural passes share one parsed-IR workspace.
-    let (mut ws_findings, edges) = workspace_passes(&sources, strict);
-    findings.append(&mut ws_findings);
-    // Span-aware waivers: a waiver on a fn/impl/mod header (or the
-    // comment line directly above it) waives that rule for the whole
-    // item. Applied to every finding, per-file rules included.
-    apply_span_waivers(&sources, &mut findings);
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    (findings, files.len(), edges)
-}
-
-/// Runs the workspace-level (interprocedural) passes over in-memory
-/// sources: the static lock-order pass and the budget-threading pass.
-/// Returned findings have *line-adjacent* waivers applied; span-aware
-/// waivers are the caller's second pass (fixture tests exercise both).
-pub fn workspace_passes(
-    sources: &[(String, String)],
-    strict: bool,
-) -> (Vec<Finding>, Vec<Edge>) {
-    let parsed: Vec<ir::FileIr> = sources
+    let mut unused: Vec<Finding> = metrics
+        .names
         .iter()
-        .map(|(p, s)| ir::parse_file(p, s))
+        .filter(|(name, _)| !used.contains(name))
+        .map(|(name, line)| Finding {
+            rule: rules::UNREGISTERED_METRIC,
+            path: NAMES_RS.to_string(),
+            line: *line,
+            message: format!(
+                "metric `{name}` is preregistered but never used by a literal call site"
+            ),
+            waived: false,
+        })
         .collect();
-    let ws = callgraph::Workspace::build(parsed);
-    let lock = lockgraph::run(&ws, strict);
-    let mut findings = lock.findings;
-    findings.extend(budget::run(&ws));
-    // Line-adjacent waivers, same semantics as the per-file rules.
-    for f in findings.iter_mut() {
-        if f.waived {
-            continue;
-        }
-        let Some(file) = ws.files.iter().find(|fl| fl.path == f.path) else {
-            continue;
-        };
-        let short = f.rule.trim_start_matches("her::");
-        if file
-            .waivers
-            .iter()
-            .any(|w| w.rule == short && (w.line == f.line || w.line + 1 == f.line))
-        {
-            f.waived = true;
-        }
-    }
-    (findings, lock.edges)
-}
-
-/// Span-aware waiver application: re-parses each file's item spans and
-/// waives findings covered by a waiver sitting on an item header line
-/// (or the line directly above it — non-adjacent comments do *not*
-/// count).
-pub fn apply_span_waivers(sources: &[(String, String)], findings: &mut [Finding]) {
-    for (path, src) in sources {
-        if !findings.iter().any(|f| !f.waived && &f.path == path) {
-            continue;
-        }
-        let file = ir::parse_file(path, src);
-        if file.waivers.is_empty() {
-            continue;
-        }
-        let spans = ir::item_spans(&file.toks);
-        for f in findings.iter_mut() {
-            if f.waived || &f.path != path {
-                continue;
-            }
-            let short = f.rule.trim_start_matches("her::");
-            let covered = file.waivers.iter().any(|w| {
-                w.rule == short
-                    && spans.iter().any(|s| {
-                        (w.line == s.line || w.line + 1 == s.line)
-                            && s.line <= f.line
-                            && f.line <= s.end_line
-                    })
-            });
-            if covered {
-                f.waived = true;
-            }
-        }
-    }
+    rules::apply_waivers(&lexer::lex(&names_src), &mut unused);
+    findings.append(&mut unused);
+    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
+    (findings, files.len())
 }
 
 /// Collects every literal metric name passed to a telemetry sink —
@@ -395,84 +294,27 @@ mod tests {
         assert_eq!(rule_hits(&elsewhere, rules::RAW_FS_WRITE).0, 0);
     }
 
-    /// Runs the interprocedural passes over fixture files mounted at
-    /// virtual workspace paths, with both waiver layers applied — the
-    /// same pipeline `check_workspace` uses.
-    fn run_ws(files: &[(&str, &str)], strict: bool) -> (Vec<Finding>, Vec<Edge>) {
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|(p, rel)| ((*p).to_string(), fixture(rel)))
-            .collect();
-        let (mut findings, edges) = workspace_passes(&sources, strict);
-        apply_span_waivers(&sources, &mut findings);
-        (findings, edges)
-    }
-
-    #[test]
-    fn static_lock_order_fixtures() {
-        let (ok, edges) = run_ws(
-            &[("crates/her-serve/src/lock_ok.rs", "lock_order/ok.rs")],
-            false,
-        );
-        assert_eq!(rule_hits(&ok, rules::STATIC_LOCK_INVERSION).0, 0, "{ok:?}");
-        assert_eq!(rule_hits(&ok, rules::STATIC_LOCK_CYCLE).0, 0, "{ok:?}");
-        // The legal direction shows up as an increasing edge.
-        assert!(
-            edges.iter().any(|e| e.src == 3 && e.dst == 7),
-            "{edges:?}"
-        );
-
-        let (bad, edges) = run_ws(
-            &[("crates/her-serve/src/lock_bad.rs", "lock_order/violation.rs")],
-            false,
-        );
-        let (total, unwaived) = rule_hits(&bad, rules::STATIC_LOCK_INVERSION);
-        assert!(unwaived >= 1, "{bad:?}");
-        assert!(total > unwaived, "the waived site must be detected but waived");
-        // The release-only (cfg(not(debug_assertions))) path is the
-        // seeded regression: its 7 -> 3 edge arrives via the reap() call
-        // and must be reported even though no debug/test run executes it.
-        assert!(
-            bad.iter().any(|f| f.rule == rules::STATIC_LOCK_INVERSION
-                && !f.waived
-                && f.line == 50),
-            "release-only inversion not caught: {bad:?}"
-        );
-        assert!(edges.iter().any(|e| e.src == 7 && e.dst == 3), "{edges:?}");
-        // And the 3 -> 7 -> 3 cycle it closes is its own finding.
-        assert!(rule_hits(&bad, rules::STATIC_LOCK_CYCLE).1 >= 1, "{bad:?}");
-    }
-
     #[test]
     fn budget_threading_fixtures() {
-        let (ok, _) = run_ws(
-            &[("crates/her-serve/src/budget_ok.rs", "budget/ok.rs")],
-            false,
-        );
+        let ok = run("crates/her-serve/src/budget_ok.rs", "budget/ok.rs");
         assert_eq!(rule_hits(&ok, rules::BUDGET_NOT_THREADED).0, 0, "{ok:?}");
 
-        let (bad, _) = run_ws(
-            &[("crates/her-serve/src/budget_bad.rs", "budget/violation.rs")],
-            false,
-        );
+        let bad = run("crates/her-serve/src/budget_bad.rs", "budget/violation.rs");
         let (total, unwaived) = rule_hits(&bad, rules::BUDGET_NOT_THREADED);
         assert_eq!(unwaived, 2, "{bad:?}");
         assert!(total > unwaived, "the waived warmup must be detected but waived");
 
-        // The pass is scoped to the serving crate: the same source
+        // The rule is scoped to the serving crate: the same source
         // elsewhere is not a handler path.
-        let (elsewhere, _) = run_ws(
-            &[("crates/her-cli/src/budget_bad.rs", "budget/violation.rs")],
-            false,
-        );
+        let elsewhere = run("crates/her-cli/src/budget_bad.rs", "budget/violation.rs");
         assert_eq!(rule_hits(&elsewhere, rules::BUDGET_NOT_THREADED).0, 0);
     }
 
     #[test]
     fn span_waiver_fixtures() {
-        let (f, _) = run_ws(
-            &[("crates/her-serve/src/spans.rs", "span_waiver/serve_spans.rs")],
-            false,
+        let f = run(
+            "crates/her-serve/src/spans.rs",
+            "span_waiver/serve_spans.rs",
         );
         let of_rule: Vec<_> = f
             .iter()
@@ -489,84 +331,6 @@ mod tests {
             .map(|f| f.line)
             .collect();
         assert_eq!(unwaived, vec![19, 35], "{of_rule:?}");
-    }
-
-    #[test]
-    fn call_graph_precision_fixtures() {
-        // Trait objects: the held-across-dispatch edge is absent (the
-        // pass under-approximates unknown callees as acquiring nothing).
-        let files = [("crates/her-serve/src/hooks.rs", "precision/trait_object.rs")];
-        let (f, edges) = run_ws(&files, false);
-        assert_eq!(rule_hits(&f, rules::STATIC_LOCK_INVERSION).0, 0, "{f:?}");
-        assert!(
-            !edges.iter().any(|e| e.src == 3 && e.dst == 7),
-            "dyn dispatch must not produce an edge: {edges:?}"
-        );
-        // …but --strict names the blind spot.
-        let (strict, _) = run_ws(&files, true);
-        assert!(
-            strict.iter().any(|f| f.rule == rules::UNRESOLVED_CALLEE
-                && !f.waived
-                && f.message.contains("fire")),
-            "{strict:?}"
-        );
-
-        // Cross-crate ambiguity: two crates define `shared_helper`, so
-        // the call resolves to neither and the possible 3 -> 7 edge is
-        // absent; --strict flags the site.
-        let files = [
-            ("crates/a/src/caller.rs", "precision/cross_crate_caller.rs"),
-            ("crates/b/src/lib.rs", "precision/cross_crate_impl_b.rs"),
-            ("crates/c/src/lib.rs", "precision/cross_crate_impl_c.rs"),
-        ];
-        let (f, edges) = run_ws(&files, false);
-        assert_eq!(rule_hits(&f, rules::STATIC_LOCK_INVERSION).0, 0, "{f:?}");
-        assert!(
-            !edges.iter().any(|e| e.src == 3 && e.dst == 7),
-            "ambiguous callee must not produce an edge: {edges:?}"
-        );
-        let (strict, _) = run_ws(&files, true);
-        assert!(
-            strict.iter().any(|f| f.rule == rules::UNRESOLVED_CALLEE
-                && !f.waived
-                && f.message.contains("shared_helper")),
-            "{strict:?}"
-        );
-    }
-
-    #[test]
-    fn sarif_output_is_wellformed() {
-        let (bad, _) = run_ws(
-            &[("crates/her-serve/src/budget_bad.rs", "budget/violation.rs")],
-            false,
-        );
-        let sarif = report::render_sarif(&bad);
-        assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("her::budget_not_threaded"));
-        // Waived findings ride along as suppressed results.
-        assert!(sarif.contains("\"suppressions\""));
-        // Rough structural sanity: one result object per finding.
-        assert_eq!(sarif.matches("\"ruleId\"").count(), bad.len());
-    }
-
-    /// The real workspace's static lock graph obeys the rank order: every
-    /// production edge strictly increases, so the graph is acyclic — the
-    /// static counterpart of the dynamic tracker's guarantee.
-    #[test]
-    fn real_lock_graph_is_ranked_and_acyclic() {
-        let root = find_root();
-        let (_, _, edges) = check_workspace_full(&root, false);
-        assert!(!edges.is_empty(), "expected a non-empty lock graph");
-        for e in edges.iter().filter(|e| !e.test_only) {
-            assert!(
-                e.src < e.dst,
-                "non-increasing acquisition edge {} -> {} at {}:{}",
-                e.src,
-                e.dst,
-                e.path,
-                e.line
-            );
-        }
     }
 
     /// The linter runs clean on the real workspace — the same invariant

@@ -2,70 +2,38 @@
 //!
 //! Commands:
 //!
-//! - `check [--json | --format sarif|json|text] [--strict]
-//!   [--max-wall-secs N]` — lint the workspace (per-file rules + the
-//!   interprocedural lock-order and budget passes). `--strict` also
-//!   reports unresolved first-party calls made while holding locks.
-//!   `--max-wall-secs` makes the analyzer's own latency a gated budget.
-//! - `graph --dot` — emit the static rank-acquisition digraph as DOT.
-//! - `check-edges <dump>` — assert a `HER_SYNC_EDGE_LOG` dump (dynamic
-//!   tracker observations) is a subset of the static graph.
+//! - `check [--json]` — lint the workspace. `--json` prints the findings
+//!   as a JSON array on stdout.
 //! - `list` — rule ids.
 //!
-//! Exit codes: 0 clean (waived findings allowed), 1 unwaived findings /
-//! subset violation / budget blown, 2 usage error. Machine output
-//! (`--json`, `--format sarif`, `--dot`) goes to stdout; the human
-//! report always goes to stderr so CI logs stay readable either way.
+//! Exit codes: 0 clean (waived findings allowed), 1 unwaived findings,
+//! 2 usage error. The human report always goes to stderr so CI logs stay
+//! readable either way.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: cargo run -p her-analysis -- \
-         check [--json | --format sarif|json|text] [--strict] [--max-wall-secs N]\n       \
-         cargo run -p her-analysis -- graph --dot\n       \
-         cargo run -p her-analysis -- check-edges <dump-file>\n       \
+        "usage: cargo run -p her-analysis -- check [--json]\n       \
          cargo run -p her-analysis -- list"
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut format: Option<String> = None;
-    let mut strict = false;
-    let mut dot = false;
-    let mut max_wall_secs: Option<u64> = None;
-    let mut cmd: Option<&str> = None;
-    let mut operand: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    let mut json = false;
+    let mut cmd: Option<String> = None;
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--json" => format = Some("json".into()),
-            "--format" => match it.next() {
-                Some(f) if ["sarif", "json", "text"].contains(&f.as_str()) => {
-                    format = Some(f.clone());
-                }
-                _ => return usage(),
-            },
-            "--strict" => strict = true,
-            "--dot" => dot = true,
-            "--max-wall-secs" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) => max_wall_secs = Some(n),
-                None => return usage(),
-            },
-            "check" | "list" | "graph" | "check-edges" => cmd = Some(a.as_str()),
-            other if cmd == Some("check-edges") && operand.is_none() => {
-                operand = Some(other.to_string());
-            }
+            "--json" => json = true,
+            "check" | "list" => cmd = Some(a),
             other => {
                 eprintln!("her-analysis: unknown argument `{other}`");
                 return usage();
             }
         }
     }
-    match cmd {
+    match cmd.as_deref() {
         Some("list") => {
             for r in her_analysis::rules::ALL_RULES {
                 println!("{r}");
@@ -73,75 +41,16 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Some("check") => {
-            let started = Instant::now();
             let root = her_analysis::find_root();
-            let (findings, files, _) = her_analysis::check_workspace_full(&root, strict);
-            match format.as_deref() {
-                Some("json") => println!("{}", her_analysis::report::render_json(&findings)),
-                Some("sarif") => println!("{}", her_analysis::report::render_sarif(&findings)),
-                _ => {}
+            let (findings, files) = her_analysis::check_workspace(&root);
+            if json {
+                println!("{}", her_analysis::report::render_json(&findings));
             }
             eprint!("{}", her_analysis::report::render_text(&findings, files));
-            let elapsed = started.elapsed();
-            if let Some(budget) = max_wall_secs {
-                eprintln!(
-                    "her-analysis: wall clock {:.2}s (budget {budget}s)",
-                    elapsed.as_secs_f64()
-                );
-                if elapsed.as_secs() >= budget {
-                    eprintln!("her-analysis: analyzer wall-clock budget exceeded");
-                    return ExitCode::FAILURE;
-                }
-            }
             if findings.iter().any(|f| !f.waived) {
                 ExitCode::FAILURE
             } else {
                 ExitCode::SUCCESS
-            }
-        }
-        Some("graph") => {
-            if !dot {
-                return usage();
-            }
-            let root = her_analysis::find_root();
-            let (_, _, edges) = her_analysis::check_workspace_full(&root, false);
-            print!("{}", her_analysis::lockgraph::render_dot(&edges));
-            ExitCode::SUCCESS
-        }
-        Some("check-edges") => {
-            let Some(path) = operand else { return usage() };
-            let dump = match std::fs::read_to_string(&path) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("her-analysis: cannot read `{path}`: {e}");
-                    return ExitCode::from(2);
-                }
-            };
-            let root = her_analysis::find_root();
-            let (_, _, edges) = her_analysis::check_workspace_full(&root, false);
-            let missing = her_analysis::lockgraph::check_dynamic_subset(&dump, &edges);
-            let observed = dump.lines().filter(|l| !l.trim().is_empty()).count();
-            if missing.is_empty() {
-                eprintln!(
-                    "her-analysis: {observed} observed acquisition edge(s), all in the \
-                     static graph ({} static edge(s))",
-                    edges.len()
-                );
-                ExitCode::SUCCESS
-            } else {
-                for (h, a) in &missing {
-                    eprintln!(
-                        "her-analysis: dynamic edge `{h} -> {a}` is MISSING from the \
-                         static lock graph"
-                    );
-                }
-                eprintln!(
-                    "her-analysis: {} dynamically observed edge(s) not in the static \
-                     graph — the analyzer under-approximates; close the resolution gap \
-                     or file the edge",
-                    missing.len()
-                );
-                ExitCode::FAILURE
             }
         }
         _ => usage(),

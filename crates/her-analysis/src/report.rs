@@ -38,52 +38,6 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-/// The SARIF 2.1.0 report (static-analysis interchange: GitHub code
-/// scanning, IDE ingestion). Waived findings are emitted with an
-/// `inSource` suppression so downstream viewers show them as
-/// intentionally accepted rather than dropping them.
-pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::from(
-        "{\n  \"version\": \"2.1.0\",\n  \
-         \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n  \
-         \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n          \
-         \"name\": \"her-analysis\",\n          \
-         \"rules\": [\n",
-    );
-    for (i, r) in crate::rules::ALL_RULES.iter().enumerate() {
-        out.push_str(&format!(
-            "            {{\"id\": \"{}\"}}{}\n",
-            r,
-            if i + 1 < crate::rules::ALL_RULES.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("          ]\n        }\n      },\n      \"results\": [\n");
-    for (i, f) in findings.iter().enumerate() {
-        let suppressions = if f.waived {
-            ",\n          \"suppressions\": [{\"kind\": \"inSource\"}]"
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "        {{\n          \"ruleId\": \"{}\",\n          \
-             \"level\": \"{}\",\n          \
-             \"message\": {{\"text\": \"{}\"}},\n          \
-             \"locations\": [{{\"physicalLocation\": {{\
-             \"artifactLocation\": {{\"uri\": \"{}\"}}, \
-             \"region\": {{\"startLine\": {}}}}}}}]{}\n        }}{}\n",
-            f.rule,
-            if f.waived { "note" } else { "error" },
-            json_escape(&f.message),
-            json_escape(&f.path),
-            f.line.max(1),
-            suppressions,
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      ]\n    }\n  ]\n}");
-    out
-}
-
 /// The human report: one `path:line: [rule] message` per finding,
 /// unwaived first, then a summary line.
 pub fn render_text(findings: &[Finding], files_checked: usize) -> String {

@@ -5,8 +5,11 @@
 //! Rules operate on the token stream of one file plus a little derived
 //! context (innermost function name, test-code regions, brace depth).
 //! Waivers are comments of the form `// #[allow(her::rule_name)]` on the
-//! finding's line or the line above, ideally followed by a justification.
+//! finding's line or the line above — or on (or directly above) the
+//! header of an enclosing `fn`/`impl`/`mod`, which waives the rule for
+//! the whole item — ideally followed by a justification.
 
+use crate::ir::{item_spans, match_bracket};
 use crate::lexer::{lex, Lexed, Tok, TokKind};
 
 /// One lint finding. `waived` is set during waiver application.
@@ -30,14 +33,7 @@ pub const GENERATION_ENTRY_POINT: &str = "her::generation_entry_point";
 pub const LITERAL_LOCK_RANK: &str = "her::literal_lock_rank";
 pub const UNGUARDED_SPAN: &str = "her::unguarded_span";
 pub const RAW_FS_WRITE: &str = "her::raw_fs_write";
-// Workspace-level (interprocedural) rules — computed by the lockgraph
-// and budget passes, not `analyze_file`.
-pub const STATIC_LOCK_INVERSION: &str = "her::static_lock_inversion";
-pub const STATIC_LOCK_CYCLE: &str = "her::static_lock_cycle";
 pub const BUDGET_NOT_THREADED: &str = "her::budget_not_threaded";
-/// Only emitted under `--strict`: a first-party call the lock pass could
-/// not resolve while locks were held (precision escape hatch).
-pub const UNRESOLVED_CALLEE: &str = "her::unresolved_callee";
 
 /// All rule ids, for `--list` and the report header.
 pub const ALL_RULES: &[&str] = &[
@@ -49,10 +45,7 @@ pub const ALL_RULES: &[&str] = &[
     LITERAL_LOCK_RANK,
     UNGUARDED_SPAN,
     RAW_FS_WRITE,
-    STATIC_LOCK_INVERSION,
-    STATIC_LOCK_CYCLE,
     BUDGET_NOT_THREADED,
-    UNRESOLVED_CALLEE,
 ];
 
 /// Per-token context derived in one pass: innermost enclosing function
@@ -171,22 +164,30 @@ pub fn analyze_file(path: &str, src: &str, metrics: &MetricNames) -> Vec<Finding
     literal_lock_rank(path, &lexed.toks, &ctx, &mut findings);
     unguarded_span(path, &lexed.toks, &ctx, &mut findings);
     raw_fs_write(path, &lexed.toks, &ctx, &mut findings);
+    budget_not_threaded(path, &lexed.toks, &ctx, &mut findings);
     apply_waivers(&lexed, &mut findings);
     findings
 }
 
-/// Marks findings covered by a `#[allow(her::rule)]` comment on the same
-/// line or the line immediately above.
-fn apply_waivers(lexed: &Lexed, findings: &mut [Finding]) {
+/// Marks findings covered by a `#[allow(her::rule)]` comment: on the
+/// finding's line or the line immediately above, or on (or immediately
+/// above) the header line of an item whose span contains the finding. A
+/// comment separated from either by a blank line does *not* count.
+pub fn apply_waivers(lexed: &Lexed, findings: &mut [Finding]) {
+    if lexed.waivers.is_empty() || findings.is_empty() {
+        return;
+    }
+    let adjacent = |waiver: u32, line: u32| waiver == line || waiver + 1 == line;
+    let spans = item_spans(&lexed.toks);
     for f in findings.iter_mut() {
         let short = f.rule.trim_start_matches("her::");
-        if lexed
-            .waivers
-            .iter()
-            .any(|w| w.rule == short && (w.line == f.line || w.line + 1 == f.line))
-        {
-            f.waived = true;
-        }
+        f.waived = lexed.waivers.iter().any(|w| {
+            w.rule == short
+                && (adjacent(w.line, f.line)
+                    || spans.iter().any(|s| {
+                        adjacent(w.line, s.line) && s.line <= f.line && f.line <= s.end_line
+                    }))
+        });
     }
 }
 
@@ -647,5 +648,71 @@ fn raw_fs_write(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Finding>) {
                 waived: false,
             });
         }
+    }
+}
+
+/// Rule 9 — `her::budget_not_threaded`: `her-serve` is the always-on
+/// path — a handler that reaches `Her::try_vpair` & friends with
+/// `MatcherOptions::default()` (or a bare `Budget::default()`-shaped
+/// value) runs unbounded matcher work under an admission slot, which is
+/// exactly the regression the admission controller exists to prevent.
+/// The check is syntactic at the serve → core boundary: each call site's
+/// argument list must mention a budget-shaped value — `self.budget(..)`,
+/// `self.matcher_opts(..)`, a `deadline` local, a `Budget` value or a
+/// field access ending in `.budget`. Helper indirection inside her-serve
+/// is fine — the helper's own boundary call is checked instead. `matcher`
+/// and the non-`try_` modes are deliberately absent: they are the
+/// documented unbounded API. Scope: non-test function bodies under
+/// `crates/her-serve/src/`.
+fn budget_not_threaded(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Finding>) {
+    if !path.starts_with("crates/her-serve/src/") {
+        return;
+    }
+    const ENTRY_POINTS: &[&str] = &[
+        "try_vpair",
+        "try_vpair_pooled",
+        "try_apair",
+        "try_apair_stats",
+        "try_apair_stats_pooled",
+        "with_pooled_matcher",
+        "matcher_with",
+    ];
+    let is_budget_marker = |text: &str| {
+        let lc = text.to_lowercase();
+        lc.contains("budget") || lc.contains("deadline") || lc.contains("opts")
+    };
+    let mut i = 0;
+    while i < toks.len() {
+        let t = &toks[i];
+        let is_call = !ctx.in_tests[i]
+            && !ctx.fn_name[i].is_empty()
+            && t.kind == TokKind::Ident
+            && ENTRY_POINTS.contains(&t.text.as_str())
+            && toks.get(i + 1).is_some_and(|n| n.text == "(");
+        if !is_call {
+            i += 1;
+            continue;
+        }
+        let close = match_bracket(toks, i + 1, "(", ")");
+        let threaded = toks.get(i + 2..close).is_some_and(|args| {
+            args.iter()
+                .any(|a| a.kind == TokKind::Ident && is_budget_marker(&a.text))
+        });
+        if !threaded {
+            out.push(Finding {
+                rule: BUDGET_NOT_THREADED,
+                path: path.to_string(),
+                line: t.line,
+                message: format!(
+                    "`{}` calls `{}` without threading a budget or deadline — \
+                     serving-path matcher work must be bounded (pass \
+                     `self.budget(..)` / `self.matcher_opts(..)` or a \
+                     `Budget`-carrying options value)",
+                    ctx.fn_name[i], t.text
+                ),
+                waived: false,
+            });
+        }
+        i = close + 1;
     }
 }

@@ -48,20 +48,21 @@ pub enum MessageFate {
     Delay,
 }
 
-#[derive(Debug)]
-struct State {
-    kills_fired: Mutex<FxHashSet<(usize, usize)>>,
-    poison_fired: Mutex<FxHashSet<PairKey>>,
-    counters: Mutex<FxHashMap<usize, u64>>,
+/// What has fired so far, shared by every clone of a plan.
+#[derive(Debug, Default)]
+struct Fired {
+    kills: FxHashSet<(usize, usize)>,
+    poison: FxHashSet<PairKey>,
+    /// Send attempts so far, per worker.
+    attempts: FxHashMap<usize, u64>,
 }
+
+#[derive(Debug)]
+struct State(Mutex<Fired>);
 
 impl Default for State {
     fn default() -> Self {
-        State {
-            kills_fired: Mutex::new(rank::FAULT_KILLS, FxHashSet::default()),
-            poison_fired: Mutex::new(rank::FAULT_POISON, FxHashSet::default()),
-            counters: Mutex::new(rank::FAULT_COUNTERS, FxHashMap::default()),
-        }
+        State(Mutex::default_with(rank::FAULT))
     }
 }
 
@@ -132,7 +133,7 @@ impl FaultPlan {
     /// `superstep`.
     pub fn maybe_kill(&self, worker: usize, superstep: usize) {
         if self.kills.contains(&(worker, superstep)) {
-            let fresh = lock(&self.state.kills_fired).insert((worker, superstep));
+            let fresh = self.fired().kills.insert((worker, superstep));
             if fresh {
                 panic!("injected fault: worker {worker} killed at superstep {superstep}");
             }
@@ -142,7 +143,7 @@ impl FaultPlan {
     /// Panics on the first evaluation of a poisoned pair.
     pub fn maybe_poison(&self, pair: PairKey) {
         if self.poisoned.contains(&pair) {
-            let fresh = lock(&self.state.poison_fired).insert(pair);
+            let fresh = self.fired().poison.insert(pair);
             if fresh {
                 panic!("injected fault: poisoned pair {pair:?}");
             }
@@ -157,8 +158,8 @@ impl FaultPlan {
             return MessageFate::Deliver;
         }
         let attempt = {
-            let mut counters = lock(&self.state.counters);
-            let c = counters.entry(worker).or_insert(0);
+            let mut fired = self.fired();
+            let c = fired.attempts.entry(worker).or_insert(0);
             *c += 1;
             *c
         };
@@ -178,10 +179,13 @@ impl FaultPlan {
             MessageFate::Deliver
         }
     }
-}
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn fired(&self) -> MutexGuard<'_, Fired> {
+        self.state
+            .0
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 fn splitmix(mut x: u64) -> u64 {

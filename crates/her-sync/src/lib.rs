@@ -87,12 +87,10 @@ pub mod rank {
     /// `her-parallel` partition table (`SharedPartition`): owner lookups
     /// and recovery-time reassignment.
     pub const PARTITION: Rank = Rank::new(10, "parallel.partition");
-    /// `her-parallel` fault plan: once-only kill bookkeeping.
-    pub const FAULT_KILLS: Rank = Rank::new(20, "parallel.fault_kills");
-    /// `her-parallel` fault plan: once-only poison bookkeeping.
-    pub const FAULT_POISON: Rank = Rank::new(21, "parallel.fault_poison");
-    /// `her-parallel` fault plan: per-worker message-fate counters.
-    pub const FAULT_COUNTERS: Rank = Rank::new(22, "parallel.fault_counters");
+    /// `her-parallel` fault plan: fire-once kill/poison bookkeeping and
+    /// the per-worker message-fate counters, taken for one insert or
+    /// increment and only when a plan is armed.
+    pub const FAULT: Rank = Rank::new(20, "parallel.fault");
     /// `her-core` matcher pool: the warm-matcher free list. Held only
     /// for a pop/push (matchers are moved out before use), never across
     /// a match, so it ranks above the score shards a checked-out
@@ -106,27 +104,6 @@ pub mod rank {
     pub const OBS_REGISTRY: Rank = Rank::new(90, "obs.registry");
     /// `her-obs` trace ring buffer.
     pub const OBS_TRACE: Rank = Rank::new(95, "obs.trace");
-
-    /// The whole table as `(const ident, rank)` pairs, in acquisition
-    /// order — the machine-readable form consumed by `her-analysis`'s
-    /// static lock-order pass (the analyzer sees `rank::SERVE_STREAM`
-    /// in source, so the const ident is the join key). Every constant
-    /// above must appear here exactly once.
-    pub const ALL: &[(&str, Rank)] = &[
-        ("SERVE_WATCHDOG", SERVE_WATCHDOG),
-        ("SERVE_ADMISSION", SERVE_ADMISSION),
-        ("SERVE_SESSIONS", SERVE_SESSIONS),
-        ("SERVE_STREAM", SERVE_STREAM),
-        ("SERVE_HEALTH", SERVE_HEALTH),
-        ("PARTITION", PARTITION),
-        ("FAULT_KILLS", FAULT_KILLS),
-        ("FAULT_POISON", FAULT_POISON),
-        ("FAULT_COUNTERS", FAULT_COUNTERS),
-        ("MATCHER_POOL", MATCHER_POOL),
-        ("SCORES_SHARD", SCORES_SHARD),
-        ("OBS_REGISTRY", OBS_REGISTRY),
-        ("OBS_TRACE", OBS_TRACE),
-    ];
 }
 
 /// One lock a thread currently holds.
@@ -144,61 +121,6 @@ thread_local! {
     static HELD: RefCell<Vec<Held>> = const { RefCell::new(Vec::new()) };
     /// `(rank order, acquisitions)` by this thread — see [`acquisitions`].
     static ACQUIRED: RefCell<Vec<(u32, u64)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Optional acquisition-edge dump, enabled by pointing the
-/// `HER_SYNC_EDGE_LOG` environment variable at a file. Every acquisition
-/// that *passes* the tracker's checks appends one `held acquired` line
-/// per lock currently held (deduplicated per process) — the observed
-/// rank-acquisition edges. CI's consistency drill runs the test suites
-/// with this on and asserts the observed edge set is a subset of the
-/// static lock graph `her-analysis` derives (dynamic ⊆ static), proving
-/// the static pass does not under-approximate reality. Edges are logged
-/// only after the checks so a deliberately-seeded (and caught) inversion
-/// in a test never pollutes the dump.
-mod edge_log {
-    use std::collections::HashSet;
-    use std::io::Write;
-    use std::sync::{Mutex, OnceLock, PoisonError};
-
-    struct Log {
-        file: std::fs::File,
-        seen: HashSet<(&'static str, &'static str)>,
-    }
-
-    static LOG: OnceLock<Option<Mutex<Log>>> = OnceLock::new();
-
-    fn open() -> Option<Mutex<Log>> {
-        let path = std::env::var_os("HER_SYNC_EDGE_LOG")?;
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .ok()?;
-        Some(Mutex::new(Log {
-            file,
-            seen: HashSet::new(),
-        }))
-    }
-
-    /// Records `held -> acquired` for every held lock. No-op unless the
-    /// env var was set when the first acquisition happened.
-    pub(crate) fn record(
-        held: impl Iterator<Item = &'static str>,
-        acquired: &'static str,
-    ) {
-        let Some(log) = LOG.get_or_init(open) else {
-            return;
-        };
-        let mut log = log.lock().unwrap_or_else(PoisonError::into_inner);
-        for h in held {
-            if log.seen.insert((h, acquired)) {
-                // O_APPEND keeps concurrent test binaries from tearing
-                // each other's lines; each line is far below PIPE_BUF.
-                let _ = writeln!(log.file, "{h} {acquired}");
-            }
-        }
-    }
 }
 
 /// Checks the acquisition of `(rank, addr)` against this thread's held
@@ -238,9 +160,6 @@ fn track_acquire(rank: Rank, addr: usize) {
                 Backtrace::capture(),
             );
         }
-        // Both checks passed: this is a legal acquisition, worth
-        // recording as an observed edge (see `edge_log`).
-        edge_log::record(held.iter().map(|h| h.name), rank.name);
         ACQUIRED.with(|counts| {
             let mut counts = counts.borrow_mut();
             match counts.iter_mut().find(|(order, _)| *order == rank.order) {
@@ -651,9 +570,7 @@ mod tests {
             rank::SERVE_STREAM,
             rank::SERVE_HEALTH,
             rank::PARTITION,
-            rank::FAULT_KILLS,
-            rank::FAULT_POISON,
-            rank::FAULT_COUNTERS,
+            rank::FAULT,
             rank::MATCHER_POOL,
             rank::SCORES_SHARD,
             rank::OBS_REGISTRY,
@@ -667,17 +584,8 @@ mod tests {
                 w[1].name
             );
         }
-        // The machine-readable export must be the same table: same
-        // length, same order, and each entry's const ident must match
-        // the rank it names (a renamed const with a stale ALL entry
-        // would silently desynchronize the static analyzer).
-        assert_eq!(rank::ALL.len(), table.len());
-        for ((ident, exported), expected) in rank::ALL.iter().zip(table) {
-            assert_eq!(exported.order, expected.order, "{ident} out of place");
-            assert_eq!(exported.name, expected.name, "{ident} out of place");
-        }
-        for w in rank::ALL.windows(2) {
-            assert!(w[0].1.order < w[1].1.order);
-        }
+        // Panic messages and DESIGN.md's table identify a lock by name.
+        let names: std::collections::HashSet<_> = table.iter().map(|r| r.name).collect();
+        assert_eq!(names.len(), table.len(), "two ranks share a name");
     }
 }
