@@ -26,6 +26,12 @@ pub fn apair(
     // keyed for line 4's order so the sort below compares plain tuples.
     let mut cand: Vec<(usize, VertexId, VertexId)> = Vec::new();
     for &u_t in tuple_vertices {
+        // Generation calls no `ParaMatch`, so nothing below it would
+        // notice a cancellation or a passed deadline: look once per tuple.
+        // The exhaustion is sticky; verification then decides nothing new.
+        if matcher.interrupted().is_some() {
+            break;
+        }
         let deg_u = matcher.gd().degree(u_t);
         for v in crate::vpair::candidates(matcher, u_t, index) {
             cand.push((deg_u + matcher.g().degree(v), u_t, v));
@@ -39,7 +45,6 @@ pub fn apair(
     }
     // Fig. 8 line 4: increasing order of degree.
     cand.sort_unstable();
-    matcher.reserve_verdicts(cand.len());
     // Verification (as VParaMatch).
     let mut out = Vec::new();
     for (_, u, v) in cand {

@@ -612,6 +612,30 @@ mod tests {
         assert!(f >= 0.99, "validation F after learn was {f}");
     }
 
+    /// Candidate generation consults the cancellation token: a request
+    /// cancelled before it starts generates nothing — no candidate, no
+    /// cut — and reports the same sound partial result a cancelled
+    /// verification would.
+    #[test]
+    fn pre_cancelled_apair_stops_before_generating_candidates() {
+        let (db, g, i, _, _) = fixture();
+        let her = Her::build(&db, g, i, &cfg());
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let options = MatcherOptions {
+            cancel,
+            ..Default::default()
+        };
+        let (matches, exhausted, stats) = her.try_apair_stats(options);
+        assert!(matches.is_empty());
+        assert_eq!(exhausted, Some(ExhaustReason::Cancelled));
+        assert_eq!(stats, MatchStats::default());
+        // Uncancelled, the same run has pairs to cut and to match.
+        let (matches, exhausted, stats) = her.try_apair_stats(MatcherOptions::default());
+        assert_eq!((matches.len(), exhausted), (2, None));
+        assert!(stats.early_terminations > 0);
+    }
+
     /// The facade shares one score memo across all the matchers it
     /// creates: a repeated query embeds nothing new, results unchanged,
     /// and refinement bumps the shared generation.

@@ -4,19 +4,42 @@
 //! locate candidate vertices quickly (e.g. papers of the same year share a
 //! block), in place of classic blocking which would break the recursive
 //! descendant checks. [`InvertedIndex`] maps label tokens to the vertices
-//! carrying them; a query label's candidates are the union of its tokens'
-//! posting lists.
+//! carrying them; a query's *pool* is the union of its tokens' posting
+//! lists.
+//!
+//! The pool is deliberately loose — any one shared non-stop token admits
+//! a vertex (2 746 of 10 943 per tuple on the benchmark's data, which is
+//! what `core.candidates_per_tuple` reports) — because it is not what gets
+//! enumerated: [`crate::vpair::candidates`] narrows it to the vertices that
+//! pass `h_v ≥ σ` *and* whose first `MaxSco` bound reaches δ (*bound before
+//! enumerate*, DESIGN.md §4f). What the index owes that filter is a pool
+//! with no false dismissals, cheaply: a dataset's token vocabulary is
+//! small (Cappuzzo et al., PAPERS.md), so tokens are interned, posting
+//! lists are sorted `u32` slices of one arena, every label known at build
+//! time is tokenised once into a token-id table, and a query by vertex
+//! ([`InvertedIndex::pool`]) touches no string at all.
 
 use her_embed::tokenize::tokenize;
-use her_graph::hash::{FxHashMap, FxHashSet};
-use her_graph::{Graph, Interner, LabelId, VertexId};
+use her_graph::hash::FxHashMap;
+use her_graph::{Graph, Interner, VertexId};
+
+/// `items[offsets[i]..offsets[i + 1]]`: row `i` of a table kept as one
+/// arena with offsets.
+fn row<'a, T>(items: &'a [T], offsets: &[u32], i: usize) -> &'a [T] {
+    &items[offsets[i] as usize..offsets[i + 1] as usize]
+}
 
 /// Token → posting-list index over the vertex labels of one graph.
 pub struct InvertedIndex {
-    postings: FxHashMap<String, Vec<VertexId>>,
-    /// Tokens appearing on more than this fraction of vertices are treated
-    /// as stop tokens and skipped at query time (they destroy selectivity).
-    stop_threshold: f64,
+    /// Token → its id, for the tokens of every label known at build time.
+    tokens: FxHashMap<Box<str>, u32>,
+    /// Row `t`: the posting list of token `t`, ascending vertex ids.
+    offsets: Vec<u32>,
+    postings: Vec<VertexId>,
+    /// Row `l`: the token ids of label `l`, first occurrences in label
+    /// order, for every label the interner held at build time.
+    label_offsets: Vec<u32>,
+    label_tokens: Vec<u32>,
     vertex_count: usize,
 }
 
@@ -27,31 +50,107 @@ impl InvertedIndex {
     /// attribute values one hop away (colours, years, names) — is what
     /// actually blocks.
     pub fn build(g: &Graph, interner: &Interner) -> Self {
-        let mut postings: FxHashMap<String, Vec<VertexId>> = FxHashMap::default();
-        // Tokenise each distinct label once.
-        let mut label_tokens: FxHashMap<LabelId, Vec<String>> = FxHashMap::default();
-        let mut tokens_of = |l: LabelId| -> Vec<String> {
-            label_tokens
-                .entry(l)
-                .or_insert_with(|| tokenize(interner.resolve(l)))
-                .clone()
-        };
-        for v in g.vertices() {
-            let mut mine: Vec<String> = tokens_of(g.label(v));
-            for &c in g.children(v) {
-                mine.extend(tokens_of(g.label(c)));
+        // Every label known now is tokenised once, whichever side carries
+        // it: `G_D` queries with labels `g` may lack (their tokens get
+        // ids too, and empty posting lists).
+        let mut tokens: FxHashMap<Box<str>, u32> = FxHashMap::default();
+        let mut label_offsets = Vec::with_capacity(interner.len() + 1);
+        let mut label_tokens: Vec<u32> = Vec::new();
+        label_offsets.push(0);
+        for (_, label) in interner.iter() {
+            let from = label_tokens.len();
+            for t in tokenize(label) {
+                let next = tokens.len() as u32;
+                let id = *tokens.entry(t.into_boxed_str()).or_insert(next);
+                if !label_tokens[from..].contains(&id) {
+                    label_tokens.push(id);
+                }
             }
-            mine.sort();
+            label_offsets.push(label_tokens.len() as u32);
+        }
+        // Postings in two passes over the vertices (count, then fill), so
+        // each list lands in the arena already in id order.
+        let mut mine: Vec<u32> = Vec::new();
+        let tokens_of = |v: VertexId, mine: &mut Vec<u32>| {
+            mine.clear();
+            for x in std::iter::once(v).chain(g.children(v).iter().copied()) {
+                mine.extend_from_slice(row(&label_tokens, &label_offsets, g.label(x).index()));
+            }
+            mine.sort_unstable();
             mine.dedup();
-            for t in mine {
-                postings.entry(t).or_default().push(v);
+        };
+        let mut offsets = vec![0u32; tokens.len() + 1];
+        for v in g.vertices() {
+            tokens_of(v, &mut mine);
+            for &t in &mine {
+                offsets[t as usize + 1] += 1;
+            }
+        }
+        for t in 0..tokens.len() {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut next = offsets.clone();
+        let mut postings = vec![VertexId(0); offsets[tokens.len()] as usize];
+        for v in g.vertices() {
+            tokens_of(v, &mut mine);
+            for &t in &mine {
+                postings[next[t as usize] as usize] = v;
+                next[t as usize] += 1;
             }
         }
         Self {
+            tokens,
+            offsets,
             postings,
-            stop_threshold: 0.5,
+            label_offsets,
+            label_tokens,
             vertex_count: g.vertex_count(),
         }
+    }
+
+    /// The union of the posting lists of `query` (token ids in query
+    /// order), deduplicated, in id order — see [`Self::candidates`] for
+    /// the stop-token rule.
+    fn union(&self, query: impl Iterator<Item = u32>) -> Vec<VertexId> {
+        // One bit per vertex: set per posting, read back in id order.
+        let mut bits = vec![0u64; self.vertex_count.div_ceil(64)];
+        let mut mark = |list: &[VertexId]| {
+            for v in list {
+                bits[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+        };
+        // Tokens on more than half of the vertices are stop tokens,
+        // skipped at query time (they destroy selectivity).
+        let stop_len = ((self.vertex_count as f64) * 0.5).max(1.0) as usize;
+        let mut found = 0usize;
+        let mut fallback: Option<&[VertexId]> = None;
+        for t in query {
+            let list = row(&self.postings, &self.offsets, t as usize);
+            if list.len() > stop_len {
+                // Stop token: remember the most selective one in case
+                // no non-stop token survives.
+                if fallback.is_none_or(|f| list.len() < f.len()) {
+                    fallback = Some(list);
+                }
+                continue;
+            }
+            found += list.len();
+            mark(list);
+        }
+        if found == 0 {
+            if let Some(list) = fallback {
+                return list.to_vec();
+            }
+        }
+        let mut out = Vec::with_capacity(found.min(self.vertex_count));
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                out.push(VertexId((w * 64) as u32 + word.trailing_zeros()));
+                word &= word - 1;
+            }
+        }
+        out
     }
 
     /// Vertices whose label shares at least one non-stop token with `label`,
@@ -65,35 +164,31 @@ impl InvertedIndex {
     /// vertices sharing all query tokens, so recall is preserved. Tokens
     /// absent from the index contribute nothing either way.
     pub fn candidates(&self, label: &str) -> Vec<VertexId> {
-        let mut out: FxHashSet<VertexId> = FxHashSet::default();
-        let cap = ((self.vertex_count as f64) * self.stop_threshold).max(1.0) as usize;
-        let mut fallback: Option<&Vec<VertexId>> = None;
-        for t in tokenize(label) {
-            if let Some(list) = self.postings.get(&t) {
-                if list.len() > cap {
-                    // Stop token: remember the most selective one in case
-                    // no non-stop token survives.
-                    if fallback.is_none_or(|f| list.len() < f.len()) {
-                        fallback = Some(list);
-                    }
-                    continue;
-                }
-                out.extend(list.iter().copied());
-            }
-        }
-        if out.is_empty() {
-            if let Some(list) = fallback {
-                out.extend(list.iter().copied());
-            }
-        }
-        let mut v: Vec<VertexId> = out.into_iter().collect();
-        v.sort();
-        v
+        let query = tokenize(label);
+        self.union(query.iter().filter_map(|t| self.tokens.get(t.as_str()).copied()))
     }
 
-    /// Number of distinct indexed tokens.
+    /// The pool of `u ∈ G_D`: exactly
+    /// `self.candidates(&blocking_query(gd, interner, u))`, without
+    /// building the query — labels known at build time contribute their
+    /// token ids; one interned since is tokenised here.
+    pub fn pool(&self, gd: &Graph, interner: &Interner, u: VertexId) -> Vec<VertexId> {
+        let labels = std::iter::once(u).chain(gd.children(u).iter().copied());
+        let mut query: Vec<u32> = Vec::new();
+        for l in labels.map(|x| gd.label(x)) {
+            if l.index() + 1 < self.label_offsets.len() {
+                query.extend_from_slice(row(&self.label_tokens, &self.label_offsets, l.index()));
+            } else {
+                let late = tokenize(interner.resolve(l));
+                query.extend(late.iter().filter_map(|t| self.tokens.get(t.as_str()).copied()));
+            }
+        }
+        self.union(query.into_iter())
+    }
+
+    /// Number of distinct tokens of the labels known at build time.
     pub fn token_count(&self) -> usize {
-        self.postings.len()
+        self.tokens.len()
     }
 }
 

@@ -7,7 +7,9 @@
 //! 1. **Initial stage** — reject on `h_v < σ`; accept leaves; select
 //!    top-k descendants through `ecache`; compute the initial `MaxSco`
 //!    bound straight from the score memo and reject when it is already
-//!    below `δ` (the common case, decided before anything is built);
+//!    below `δ`, before anything is built (candidate generation asks the
+//!    same routine first — [`Matcher::viable`] — so the root pairs this
+//!    would reject, nearly all of them, are never called on at all);
 //!    otherwise install an *optimistic* `cache[u,v] = [true, ∅]` entry
 //!    (the coinductive assumption that lets interdependent candidates —
 //!    e.g. pairs on a cycle — be resolved without infinite recursion)
@@ -24,9 +26,9 @@
 
 use crate::params::Params;
 use crate::scores::ScoreCache;
-use crate::shared_scores::SharedScores;
+use crate::shared_scores::{Selection, SelectionTable, SharedScores};
 use her_graph::hash::{FxHashMap, FxHashSet};
-use her_graph::{Graph, Interner, Path, VertexId};
+use her_graph::{Graph, Interner, LabelId, Path, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc as Rc;
 use std::time::{Duration, Instant};
@@ -153,11 +155,15 @@ impl CancelToken {
 /// [`MatchStats::delta_since`] to attribute work to a phase.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Recursive `ParaMatch` invocations.
+    /// `ParaMatch` invocations, recursive ones included. A pair that
+    /// candidate generation cut ([`Matcher::viable`]) was never called on
+    /// and is not counted here; a [`Budget::max_calls`] caps this number.
     pub calls: u64,
     /// Candidate resolutions served from `cache`.
     pub cache_hits: u64,
-    /// Early terminations via the `MaxSco` bound.
+    /// Pairs decided by the `MaxSco` bound falling below δ: at line 12
+    /// before anything is built — inside a call or, for root pairs, at
+    /// candidate time without one — and at line 25 during matching.
     pub early_terminations: u64,
     /// Cleanup-stage re-evaluations.
     pub cleanups: u64,
@@ -298,8 +304,124 @@ struct Cand {
     hrho: f32,
 }
 
-/// `ecache`: vertex → its top-k selected descendants with their paths.
-pub type Selections = FxHashMap<VertexId, Rc<Vec<(VertexId, Path)>>>;
+/// The first `MaxSco` bound (Fig. 4 line 12) for one `u`: Σ over the
+/// selected `u′` of the `h_ρ` its candidate list would start with. Armed
+/// per `u`, it is asked once per `v` — by [`Matcher::para_match`] for
+/// the one pair it was called on and by [`Matcher::viable`] for a whole
+/// candidate pool — so both cut on one definition of the float.
+///
+/// What makes a pool affordable is the row: per vertex label of `G`,
+/// the set of `u′` that are σ-compatible with it, as a bitmask filled on
+/// first sight and valid until the next [`FirstBound::arm`] (an epoch
+/// stamp, so re-arming touches nothing).
+#[derive(Default)]
+struct FirstBound {
+    su: Selection,
+    /// `L(u′)` per selected descendant, parallel to `su`.
+    ends: Vec<LabelId>,
+    /// Mask words per label: `⌈|su| / 64⌉`, so any `k` fits.
+    words: usize,
+    epoch: u32,
+    /// Per `LabelId`: the epoch its mask was filled in.
+    stamp: Vec<u32>,
+    /// Per `LabelId`, `words` words: bit `i` ⇔ `h_v(L(u′ᵢ), label) ≥ σ`.
+    masks: Vec<u64>,
+    /// Scratch, per `u′`: the head of its candidate list so far.
+    heads: Vec<Option<f32>>,
+}
+
+impl FirstBound {
+    /// Points the bound at `u`, whose selection is `su`.
+    fn arm(&mut self, gd: &Graph, su: &Selection) {
+        self.su = Rc::clone(su);
+        self.ends.clear();
+        self.ends.extend(su.iter().map(|(_, pu)| gd.label(pu.end())));
+        self.words = su.len().div_ceil(64);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stamps from 2³² arms ago must not read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The bound of `(u, v)` for the armed `u` and `sv`, the selection
+    /// of `v`: per `u′` the best `h_ρ` over σ-compatible `v′` when lists
+    /// are sorted, the first in selection order otherwise, summed in
+    /// list order — the float [`Matcher::matching_stage`] derives from
+    /// the lists it builds.
+    fn max_sco(
+        &mut self,
+        scores: &mut ScoreCache,
+        g: &Graph,
+        params: &Params,
+        interner: &Interner,
+        sorted_lists: bool,
+        sv: &[(VertexId, Path)],
+    ) -> f32 {
+        let FirstBound { su, ends, words, epoch, stamp, masks, heads } = self;
+        let (words, epoch) = (*words, *epoch);
+        heads.clear();
+        heads.resize(su.len(), None);
+        for (vp, pv) in sv {
+            let label = g.label(*vp);
+            let row = label.index() * words..(label.index() + 1) * words;
+            if stamp.get(label.index()) != Some(&epoch) {
+                if stamp.len() <= label.index() {
+                    stamp.resize(label.index() + 1, 0);
+                }
+                if masks.len() < row.end {
+                    masks.resize(row.end, 0);
+                }
+                stamp[label.index()] = epoch;
+                masks[row.clone()].fill(0);
+                for (i, &end) in ends.iter().enumerate() {
+                    if scores.hv(params, interner, end, label) >= params.thresholds.sigma {
+                        masks[row.start + i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
+            for (w, &mask) in masks[row].iter().enumerate() {
+                let mut bits = mask;
+                while bits != 0 {
+                    let i = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let head = &mut heads[i];
+                    if !sorted_lists && head.is_some() {
+                        continue;
+                    }
+                    let hrho = scores.hrho(params, interner, &su[i].1, pv);
+                    if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
+                        *head = Some(hrho);
+                    }
+                }
+            }
+        }
+        let mut bound = 0.0f32;
+        for head in heads.iter() {
+            bound += head.unwrap_or(0.0);
+        }
+        bound
+    }
+}
+
+/// Which vertices of one graph this matcher has selected before — what
+/// `ecache_hits` counts, whoever filled the shared table.
+#[derive(Default)]
+struct Seen(Vec<u64>);
+
+impl Seen {
+    /// Marks `x`; true when it was marked already.
+    fn replace(&mut self, x: VertexId) -> bool {
+        let (word, bit) = (x.index() / 64, 1u64 << (x.index() % 64));
+        if self.0.len() <= word {
+            self.0.resize(word + 1, 0);
+        }
+        let was = self.0[word] & bit != 0;
+        self.0[word] |= bit;
+        was
+    }
+}
 
 /// Stateful matcher over a fixed `(G_D, G)` pair. Reuse one matcher across
 /// many queries so `cache` and `ecache` amortise (this is what VPair and
@@ -317,9 +439,11 @@ pub struct Matcher<'a> {
     cache: FxHashMap<PairKey, CacheEntry>,
     /// Reverse dependencies: pair → recorded pairs whose `W` contains it.
     rdeps: FxHashMap<PairKey, Vec<PairKey>>,
-    /// `ecache` for `G_D` and `G` respectively.
-    sel_d: Selections,
-    sel_g: Selections,
+    /// `ecache`: the score handle's selection table for this generation,
+    /// fetched on first use, and what of it this matcher has read.
+    ecache: Option<Rc<SelectionTable>>,
+    seen: [Seen; 2],
+    bound: FirstBound,
     stats: MatchStats,
     /// Border vertices of `G` (parallel fragments, §VI-B): pairs reaching
     /// them are optimistically assumed valid, PPSim-style.
@@ -371,8 +495,9 @@ impl<'a> Matcher<'a> {
             seen_generation,
             cache: FxHashMap::default(),
             rdeps: FxHashMap::default(),
-            sel_d: FxHashMap::default(),
-            sel_g: FxHashMap::default(),
+            ecache: None,
+            seen: Default::default(),
+            bound: FirstBound::default(),
             stats: MatchStats::default(),
             border: None,
             new_assumptions: Vec::new(),
@@ -421,16 +546,6 @@ impl<'a> Matcher<'a> {
         // Pending assumptions on adopted vertices would otherwise turn into
         // requests addressed to ourselves.
         self.new_assumptions.retain(|p| !vs.contains(&p.1));
-    }
-
-    /// Pre-seeds `ecache` with top-k selections computed elsewhere — the
-    /// parallel engine precomputes `h_r` globally (a preprocessing pass,
-    /// §IV "Complexity") so all workers rank descendants identically
-    /// regardless of fragment boundaries.
-    pub fn with_selections(mut self, sel_d: Selections, sel_g: Selections) -> Self {
-        self.sel_d = sel_d;
-        self.sel_g = sel_g;
-        self
     }
 
     /// Applies an externally-deduced invalidation (IncPSim, §VI-B): flips
@@ -584,8 +699,8 @@ impl<'a> Matcher<'a> {
         self.scores.clear();
         self.cache.clear();
         self.rdeps.clear();
-        self.sel_d.clear();
-        self.sel_g.clear();
+        self.ecache = None;
+        self.seen = Default::default();
     }
 
     /// Reconciles with the score handle's invalidation generation: if
@@ -599,13 +714,6 @@ impl<'a> Matcher<'a> {
             self.seen_generation = gen;
             self.drop_derived();
         }
-    }
-
-    /// Makes room for `additional` more verdicts, so a caller that knows
-    /// its candidate count (APair, a BSP worker) pays no rehash of the
-    /// verdict cache mid-run.
-    pub fn reserve_verdicts(&mut self, additional: usize) {
-        self.cache.reserve(additional);
     }
 
     /// `h_v` between a `G_D` vertex and a `G` vertex (used by candidate
@@ -683,32 +791,33 @@ impl<'a> Matcher<'a> {
     }
 
     /// Top-k selection for a `G_D` vertex (exposed for schema matching).
-    pub fn select_d(&mut self, u: VertexId) -> Rc<Vec<(VertexId, Path)>> {
+    pub fn select_d(&mut self, u: VertexId) -> Selection {
         self.select(false, u)
     }
 
     /// Top-k selection for a `G` vertex (exposed for schema matching).
-    pub fn select_g(&mut self, v: VertexId) -> Rc<Vec<(VertexId, Path)>> {
+    pub fn select_g(&mut self, v: VertexId) -> Selection {
         self.select(true, v)
     }
 
-    /// `h_r` top-k selection of `x` in `G` (`in_g`) or `G_D`, through `ecache`.
-    fn select(&mut self, in_g: bool, x: VertexId) -> Rc<Vec<(VertexId, Path)>> {
-        let (graph, ecache) = if in_g {
-            (self.g, &mut self.sel_g)
-        } else {
-            (self.gd, &mut self.sel_d)
-        };
+    /// `h_r` top-k selection of `x` in `G` (`in_g`) or `G_D`, through
+    /// `ecache`. A hit is a vertex *this matcher* selected before, so
+    /// the count does not depend on who else warmed the shared table.
+    fn select(&mut self, in_g: bool, x: VertexId) -> Selection {
+        let graph = if in_g { self.g } else { self.gd };
+        let (ranker, k) = (&self.params.ranker, self.params.thresholds.k);
         if !self.options.use_ecache {
-            return Rc::new(self.params.ranker.select(graph, x, self.params.thresholds.k));
+            return Rc::new(ranker.select(graph, x, k));
         }
-        if let Some(s) = ecache.get(&x) {
-            self.stats.ecache_hits += 1;
-            return Rc::clone(s);
-        }
-        let s = Rc::new(self.params.ranker.select(graph, x, self.params.thresholds.k));
-        ecache.insert(x, Rc::clone(&s));
-        s
+        self.stats.ecache_hits += u64::from(self.seen[usize::from(in_g)].replace(x));
+        Rc::clone(self.ecache().select(in_g, graph, ranker, x))
+    }
+
+    /// The selection table of the score handle's current generation.
+    fn ecache(&mut self) -> &Rc<SelectionTable> {
+        let (gd, g, k) = (self.gd, self.g, self.params.thresholds.k);
+        let shared = self.scores.shared();
+        self.ecache.get_or_insert_with(|| shared.selections(gd, g, k))
     }
 
     /// `M_ρ` on two raw edge-label sequences (memoised). Used by schema
@@ -806,23 +915,33 @@ impl<'a> Matcher<'a> {
     // The algorithm of Fig. 4.
     // ------------------------------------------------------------------
 
-    /// Checks budget limits and the cancellation token. Once a limit trips
-    /// the exhaustion is sticky, so the whole recursion unwinds promptly
-    /// and later queries short-circuit.
-    fn check_budget(&mut self) -> Result<(), ExhaustReason> {
+    /// The cancellation token and the deadline, for loops that spend time
+    /// without calling `ParaMatch` (candidate generation): trips the same
+    /// sticky exhaustion a call would. The call and cache-size limits are
+    /// not consulted — candidate generation spends neither.
+    pub fn interrupted(&mut self) -> Option<ExhaustReason> {
+        self.check_budget(false).err()
+    }
+
+    /// Checks the cancellation token and the budget — all of it when
+    /// `calling` `ParaMatch`, else only what [`Matcher::interrupted`]
+    /// names. Once a limit trips the exhaustion is sticky, so the whole
+    /// recursion unwinds promptly and later queries short-circuit.
+    fn check_budget(&mut self, calling: bool) -> Result<(), ExhaustReason> {
         if let Some(reason) = self.exhausted {
             return Err(reason);
         }
         let budget = self.options.budget;
         let reason = if self.options.cancel.is_cancelled() {
             Some(ExhaustReason::Cancelled)
-        } else if budget.max_calls.is_some_and(|max| self.stats.calls >= max) {
+        } else if calling && budget.max_calls.is_some_and(|max| self.stats.calls >= max) {
             Some(ExhaustReason::Calls)
         } else if budget.deadline.is_some_and(|dl| Instant::now() >= dl) {
             Some(ExhaustReason::Deadline)
-        } else if budget
-            .max_cache_entries
-            .is_some_and(|cap| self.cache.len() >= cap)
+        } else if calling
+            && budget
+                .max_cache_entries
+                .is_some_and(|cap| self.cache.len() >= cap)
         {
             Some(ExhaustReason::CacheCapacity)
         } else {
@@ -867,7 +986,7 @@ impl<'a> Matcher<'a> {
     }
 
     fn para_match(&mut self, u: VertexId, v: VertexId) -> Result<bool, ExhaustReason> {
-        self.check_budget()?;
+        self.check_budget(true)?;
         self.stats.calls += 1;
         let Params { thresholds, .. } = self.params;
         let (sigma, delta) = (thresholds.sigma, thresholds.delta);
@@ -893,12 +1012,16 @@ impl<'a> Matcher<'a> {
         }
         let su = self.select_d(u);
         let sv = self.select_g(v);
-        // Line 12 ahead of line 11: most calls end at the first `MaxSco`
-        // bound, so decide it before building lists or touching `cache`.
-        if self.options.early_termination && self.max_sco(&su, &sv) < delta {
-            self.stats.early_terminations += 1;
-            self.set_verdict(u, v, false, Vec::new());
-            return Ok(false);
+        // Line 12 ahead of line 11: a pair that cannot reach δ is decided
+        // before lists are built or `cache` is touched. Root pairs rarely
+        // get this far — [`Matcher::viable`] cuts them at candidate time.
+        if self.options.early_termination {
+            self.bound.arm(self.gd, &su);
+            if self.max_sco(&sv) < delta {
+                self.stats.early_terminations += 1;
+                self.set_verdict(u, v, false, Vec::new());
+                return Ok(false);
+            }
         }
         // Optimistic assumption enabling cyclic interdependence (appendix C).
         self.cache.insert(
@@ -921,30 +1044,56 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// The initial `MaxSco` (line 12) without the candidate lists of line
-    /// 11: Σ over selected `u'` of the `h_ρ` its list would start with —
-    /// the best σ-compatible one when lists are sorted, the first in
-    /// selection order otherwise — added in list order, so the float is
-    /// the one [`Matcher::matching_stage`] derives from the built lists.
-    fn max_sco(&mut self, su: &[(VertexId, Path)], sv: &[(VertexId, Path)]) -> f32 {
-        let mut bound = 0.0f32;
-        for (_, pu) in su {
-            let mut head: Option<f32> = None;
-            for (vp, pv) in sv {
-                let Some(hrho) = self.candidate_hrho(pu, *vp, pv) else {
-                    continue;
-                };
-                if !self.options.sorted_lists {
-                    head = Some(hrho);
-                    break;
-                }
-                if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
-                    head = Some(hrho);
-                }
-            }
-            bound += head.unwrap_or(0.0);
+    /// The first `MaxSco` bound of `(u, v)`, for the `u` the bound is
+    /// armed for and `sv`, the selection of `v`.
+    fn max_sco(&mut self, sv: &[(VertexId, Path)]) -> f32 {
+        let sorted = self.options.sorted_lists;
+        self.bound.max_sco(&mut self.scores, self.g, self.params, self.interner, sorted, sv)
+    }
+
+    /// Candidate generation's half of `ParaMatch`: the members of `pool`
+    /// that a fresh [`Matcher::try_match`] on `(u, ·)` would not reject
+    /// in its initial stage — `h_v ≥ σ` and, unless `early_termination`
+    /// is off, the first `MaxSco` bound reaches δ. Leaves of `G_D` and
+    /// border vertices pass as they do there. Every pair that passes σ
+    /// and is cut by the bound counts as an early termination, which it
+    /// is; none counts as a call, installs a verdict or spends budget.
+    pub fn viable(&mut self, u: VertexId, mut pool: Vec<VertexId>) -> Vec<VertexId> {
+        self.sync_shared_generation();
+        let Params { thresholds, .. } = self.params;
+        let (sigma, delta) = (thresholds.sigma, thresholds.delta);
+        let bounded = self.options.early_termination && !self.gd.is_leaf(u);
+        if bounded {
+            let su = self.select_d(u);
+            self.bound.arm(self.gd, &su);
         }
-        bound
+        // Held here so a pool member's selection is borrowed, not cloned.
+        let table = (bounded && self.options.use_ecache).then(|| Rc::clone(self.ecache()));
+        let ranker = &self.params.ranker;
+        pool.retain(|&v| {
+            if self.hv_pair(u, v) < sigma {
+                return false;
+            }
+            if !bounded || self.border.as_ref().is_some_and(|b| b.contains(&v)) {
+                return true;
+            }
+            let fresh;
+            let sv = match &table {
+                Some(table) => {
+                    self.stats.ecache_hits += u64::from(self.seen[1].replace(v));
+                    table.select(true, self.g, ranker, v).as_slice()
+                }
+                None => {
+                    fresh = ranker.select(self.g, v, thresholds.k);
+                    fresh.as_slice()
+                }
+            };
+            let reaches = self.max_sco(sv) >= delta;
+            self.stats.early_terminations += u64::from(!reaches);
+            reaches
+        });
+        self.flush_telemetry();
+        pool
     }
 
     /// Matching + cleanup stages (Fig. 4 lines 11-32), separated from
@@ -1793,6 +1942,76 @@ mod tests {
                 assert_eq!(got, want, "{name} stats under {opts:?}");
                 assert_eq!(trace_digest(&trace), *digest, "{name} verdicts/lineage under {opts:?}");
             }
+        }
+    }
+
+    /// One routine, two callers: the candidate cut of [`Matcher::viable`]
+    /// drops exactly the pairs `para_match` rejects at line 12. A fresh
+    /// matcher's call ended there iff it was the only call, it terminated
+    /// early and said no (the matching stage cannot terminate early
+    /// before a second call on a cold cache).
+    #[test]
+    fn candidate_cut_and_line_12_agree_pair_for_pair() {
+        let (gd, g, interner) = nested_fixture();
+        let p = params(0.9, 0.3, 3);
+        let everything: Vec<VertexId> = g.vertices().collect();
+        let mut cut_somewhere = false;
+        for opts in toggle_grid() {
+            for u in gd.vertices() {
+                let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+                let kept = m.viable(u, everything.clone());
+                let mut cut = 0;
+                for &v in &everything {
+                    let mut fresh = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+                    let matched = fresh.is_match(u, v);
+                    let s = fresh.stats();
+                    let below_sigma = fresh.hv_pair(u, v) < p.thresholds.sigma;
+                    let at_line_12 = !matched && s.calls == 1 && s.early_terminations == 1;
+                    assert_eq!(
+                        kept.contains(&v),
+                        !below_sigma && !at_line_12,
+                        "({u:?}, {v:?}) under {opts:?}"
+                    );
+                    cut += u64::from(at_line_12);
+                }
+                assert_eq!(m.stats().early_terminations, cut, "{u:?} under {opts:?}");
+                assert_eq!(m.stats().calls, 0);
+                assert!(opts.early_termination || cut == 0);
+                cut_somewhere |= cut > 0;
+            }
+        }
+        assert!(cut_somewhere, "fixture too loose to tell");
+    }
+
+    /// `k` past one mask word: a root whose match needs 66 of 70 selected
+    /// children. A bound that only saw the first 64 would fall short of δ
+    /// and cut a true match.
+    #[test]
+    fn first_bound_sees_descendants_past_bit_64() {
+        let star = |mut b: GraphBuilder| {
+            let root = b.add_vertex("hub");
+            for i in 0..70 {
+                let leaf = b.add_vertex(&format!("spoke {i}"));
+                b.add_edge(root, leaf, "has");
+            }
+            (root, b.build())
+        };
+        let (u, (gd, i)) = star(GraphBuilder::new());
+        let (v, (g, interner)) = star(GraphBuilder::with_interner(i));
+        let s = {
+            let probe = params(0.95, 0.0, 70);
+            let mut m = Matcher::new(&gd, &g, &interner, &probe);
+            let (su, sv) = (m.select_d(u), m.select_g(v));
+            assert_eq!(su.len(), 70);
+            m.scores.hrho(&probe, &interner, &su[0].1, &sv[0].1)
+        };
+        assert!(s > 0.0);
+        let p = params(0.95, s * 65.5, 70);
+        for opts in toggle_grid() {
+            let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+            assert_eq!(m.viable(u, vec![v]), vec![v], "{opts:?}");
+            assert!(m.is_match(u, v), "{opts:?}");
+            assert_eq!(m.lineage(u, v).map(<[PairKey]>::len), Some(66), "{opts:?}");
         }
     }
 

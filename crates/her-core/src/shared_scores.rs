@@ -21,6 +21,12 @@
 //!   when it moves. Checkpoint/restore rides on the same mechanism:
 //!   memo tables are never captured, restored matchers adopt the
 //!   current generation and rebuild derived state lazily.
+//! - **Selections.** `h_r` top-k is a pure function of (graph, ranker,
+//!   `k`), so the handle also owns one [`SelectionTable`] per generation:
+//!   dense per-vertex slots filled at most once and read lock-free by
+//!   every matcher on the handle (facade, pooled, BSP workers and their
+//!   candidate probes). [`SharedScores::invalidate`] drops it with the
+//!   memos.
 //! - **Accounting.** The handle counts `M_v` embedding computations and
 //!   memo hits on both tiers ([`SharedScores::add_hits`]), mirrored by
 //!   [`SharedScores::with_obs_for_workers`] into the `scores.embed_calls`
@@ -33,12 +39,13 @@
 //!   through its own handle or a shared one (Theorem 3 is untouched).
 
 use crate::params::Params;
+use her_embed::TopKRanker;
 use her_graph::hash::{FxHashMap, FxHasher};
-use her_graph::{Interner, LabelId};
+use her_graph::{Graph, Interner, LabelId, Path, VertexId};
 use her_sync::{rank, RwLock};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default shard count: a small power of two comfortably above typical
 /// worker counts, so concurrent lookups rarely contend on the same lock
@@ -65,9 +72,71 @@ struct Shard {
     mrho_memo: FxHashMap<Seq, FxHashMap<Seq, f32>>,
 }
 
+/// One vertex's `h_r` top-k: selected descendants with their paths.
+pub type Selection = Arc<Vec<(VertexId, Path)>>;
+
+/// What a [`SelectionTable`] was built for. Graphs are immutable and
+/// carry no id, so one is identified by where it lives and how big it
+/// is; `k` is part of the key, so a table for one `k` is never read as
+/// a prefix of another's.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct SelectionKey {
+    k: usize,
+    graphs: [(usize, usize, usize); 2],
+}
+
+impl SelectionKey {
+    fn new(gd: &Graph, g: &Graph, k: usize) -> Self {
+        let id = |x: &Graph| (std::ptr::from_ref(x).addr(), x.vertex_count(), x.edge_count());
+        SelectionKey { k, graphs: [id(gd), id(g)] }
+    }
+}
+
+/// `ecache` for one `(G_D, G, k)`: a dense slot per vertex, filled at
+/// most once with `ranker.select(graph, x, k)` by whichever matcher
+/// asks first and read without a lock by all the others.
+pub struct SelectionTable {
+    key: SelectionKey,
+    /// Slots of `G_D` and of `G`, indexed by vertex id.
+    slots: [Box<[OnceLock<Selection>]>; 2],
+}
+
+impl SelectionTable {
+    fn new(key: SelectionKey) -> Self {
+        let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
+        SelectionTable { key, slots: [slots(key.graphs[0].1), slots(key.graphs[1].1)] }
+    }
+
+    /// The selection of `x` in `graph` — `G` when `in_g`, else `G_D`;
+    /// the graphs must be the ones this table was made for.
+    pub fn select(&self, in_g: bool, graph: &Graph, ranker: &TopKRanker, x: VertexId) -> &Selection {
+        self.slots[usize::from(in_g)][x.index()]
+            .get_or_init(|| Arc::new(ranker.select(graph, x, self.key.k)))
+    }
+
+    /// Fills every non-leaf slot of both graphs on up to `threads`
+    /// scoped threads (a leaf selects nothing, on demand, for free).
+    pub fn fill(&self, gd: &Graph, g: &Graph, ranker: &TopKRanker, threads: usize) {
+        for (in_g, graph) in [(false, gd), (true, g)] {
+            let inner: Vec<VertexId> = graph.vertices().filter(|&v| !graph.is_leaf(v)).collect();
+            par_map(&inner, threads, |&v| {
+                self.select(in_g, graph, ranker, v);
+            });
+        }
+    }
+
+    /// Every selection computed so far.
+    pub fn filled(&self) -> impl Iterator<Item = &Selection> {
+        self.slots.iter().flat_map(|s| s.iter()).filter_map(OnceLock::get)
+    }
+}
+
 struct Inner {
     /// Power-of-two length, so shard selection is `hash & (len - 1)`.
     shards: Box<[RwLock<Shard>]>,
+    /// This generation's selection table, made by the first matcher that
+    /// selects. Never held together with a shard lock.
+    selections: RwLock<Option<Arc<SelectionTable>>>,
     /// Bumped by [`SharedScores::invalidate`]; matchers re-sync derived
     /// caches when the generation they saw last no longer matches.
     generation: AtomicU64,
@@ -167,6 +236,7 @@ impl SharedScores {
         Self {
             inner: Arc::new(Inner {
                 shards,
+                selections: RwLock::new(rank::SCORES_SHARD, None),
                 generation: AtomicU64::new(0),
                 embed_calls: AtomicU64::new(0),
                 shared_hits: AtomicU64::new(0),
@@ -360,10 +430,29 @@ impl SharedScores {
         }
     }
 
+    /// The selection table for `(gd, g, k)`. Matchers on one handle over
+    /// one pair of graphs share it; a caller with other graphs or another
+    /// `k` replaces it (earlier holders keep the table they hold, which
+    /// stays right for them).
+    pub fn selections(&self, gd: &Graph, g: &Graph, k: usize) -> Arc<SelectionTable> {
+        let key = SelectionKey::new(gd, g, k);
+        let current = self.inner.selections.read().expect("selections poisoned");
+        if let Some(t) = current.as_ref().filter(|t| t.key == key) {
+            return Arc::clone(t);
+        }
+        drop(current);
+        let mut slot = self.inner.selections.write().expect("selections poisoned");
+        match slot.as_ref().filter(|t| t.key == key) {
+            Some(t) => Arc::clone(t),
+            None => Arc::clone(slot.insert(Arc::new(SelectionTable::new(key)))),
+        }
+    }
+
     /// Drops every memo table and bumps the generation — required after
     /// model fine-tuning. Matchers holding this handle notice the bump
     /// at their next query and drop their derived caches too.
     pub fn invalidate(&self) {
+        *self.inner.selections.write().expect("selections poisoned") = None;
         for shard in &self.inner.shards {
             let mut s = shard.write().expect("scores shard poisoned");
             s.label_vecs.clear();
@@ -586,6 +675,55 @@ mod tests {
         for r in &results {
             assert_eq!(r, &expected);
         }
+    }
+
+    /// Two threads read one selection table through clones of the handle
+    /// (run under Miri too): both see the slot filled once, the selection
+    /// is the ranker's, and another `k`, other graphs or a generation
+    /// bump never read this table.
+    #[test]
+    fn selection_table_is_shared_filled_once_and_keyed() {
+        let mut b = GraphBuilder::new();
+        let root = b.add_vertex("item");
+        for (label, edge) in [("white", "color"), ("phylon foam", "material"), ("Germany", "made_in")] {
+            let leaf = b.add_vertex(label);
+            b.add_edge(root, leaf, edge);
+        }
+        let (g, _) = b.build();
+        let gd = g.clone();
+        let p = Params::untrained(32, 9);
+        let shared = SharedScores::new();
+        let barrier = std::sync::Barrier::new(2);
+        let picks: Vec<Selection> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (shared, barrier, gd, g, p) = (shared.clone(), &barrier, &gd, &g, &p);
+                    s.spawn(move || {
+                        let table = shared.selections(gd, g, 2);
+                        barrier.wait();
+                        Arc::clone(table.select(true, g, &p.ranker, root))
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
+        });
+        assert!(Arc::ptr_eq(&picks[0], &picks[1]), "one fill, read by both");
+        assert_eq!(*picks[0], p.ranker.select(&g, root, 2));
+        let table = shared.selections(&gd, &g, 2);
+        assert!(Arc::ptr_eq(table.select(true, &g, &p.ranker, root), &picks[0]));
+        assert_eq!(table.filled().count(), 1);
+        // G_D's slot for the same vertex id is its own.
+        assert!(!Arc::ptr_eq(table.select(false, &gd, &p.ranker, root), &picks[0]));
+        // A different k is a different table, not a prefix of this one.
+        let wider = shared.selections(&gd, &g, 3);
+        assert_eq!(wider.filled().count(), 0);
+        assert_eq!(wider.select(true, &g, &p.ranker, root).len(), 3);
+        // So is one for other graphs, and the next generation's.
+        let other = g.clone();
+        assert_eq!(shared.selections(&gd, &other, 3).filled().count(), 0);
+        assert_eq!(shared.selections(&gd, &other, 3).select(true, &other, &p.ranker, root).len(), 3);
+        shared.invalidate();
+        assert_eq!(shared.selections(&gd, &other, 3).filled().count(), 0);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Given the vertex `u_t` of `G_D` denoting a tuple `t`, computes
 //! `Π(u_t) = {(u_t, v) | v ∈ G, (u_t, v) matches}`. The algorithm:
 //!
-//! 1. generates candidates `v` with `h_v(u_t, v) ≥ σ` — through the
-//!    inverted-index blocking when available, else by scanning `V`;
+//! 1. generates candidates `v` with `h_v(u_t, v) ≥ σ` that the first
+//!    `MaxSco` bound does not already rule out — from the pool of the
+//!    inverted-index blocking when available, else from all of `V`;
 //! 2. sorts candidates by increasing vertex degree (cheap candidates are
 //!    resolved first, seeding `cache` for the expensive ones);
 //! 3. verifies each candidate, reusing cached verdicts before calling
@@ -25,9 +26,10 @@ pub struct VpairRun {
     pub unresolved: Vec<VertexId>,
     /// Why the run stopped early, if it did.
     pub exhausted: Option<ExhaustReason>,
-    /// The matcher's counters at the end of the run. For a fresh
-    /// matcher (the serving path builds one per request) this is the
-    /// run's own budget spend — what the flight recorder files.
+    /// The matcher's counters at the end of the run: the run's own
+    /// spend for a fresh matcher, cumulative for a reused one (the
+    /// serving path diffs a pooled matcher's against a checkout
+    /// snapshot before filing them in the flight record).
     pub stats: MatchStats,
 }
 
@@ -38,25 +40,23 @@ impl VpairRun {
     }
 }
 
-/// Generates the candidate set for `u_t`: vertices of `G` passing the
-/// `h_v ≥ σ` filter, via `index` when provided.
+/// Generates the candidate set for `u_t`: the vertices of `G` — of
+/// `index`'s pool for `u_t` when provided — that could still match,
+/// ascending. With `C(u_t)` the pool ∩ `h_v ≥ σ` and `S(u_t)` its
+/// members whose first `MaxSco` bound reaches δ, the result `C′`
+/// satisfies `S ⊆ C′ ⊆ C` ([`Matcher::viable`]): a vertex left out
+/// would have been rejected by `ParaMatch` before recursing, so it is
+/// never enumerated, sorted, called on or remembered.
 pub fn candidates(
     matcher: &mut Matcher<'_>,
     u_t: VertexId,
     index: Option<&InvertedIndex>,
 ) -> Vec<VertexId> {
-    let sigma = matcher.params().thresholds.sigma;
     let pool: Vec<VertexId> = match index {
-        Some(idx) => {
-            let query =
-                crate::index::blocking_query(matcher.gd(), matcher.interner(), u_t);
-            idx.candidates(&query)
-        }
+        Some(idx) => idx.pool(matcher.gd(), matcher.interner(), u_t),
         None => matcher.g().vertices().collect(),
     };
-    pool.into_iter()
-        .filter(|&v| matcher.hv_pair(u_t, v) >= sigma)
-        .collect()
+    matcher.viable(u_t, pool)
 }
 
 /// `VParaMatch`: all matches of `u_t` in `G`, in ascending vertex-id order.
@@ -194,15 +194,38 @@ mod tests {
         assert_eq!(result, vec![vs[0]]);
     }
 
+    /// The σ filter alone (no bound without `early_termination`).
     #[test]
     fn candidate_filter_excludes_label_mismatches() {
+        use crate::paramatch::MatcherOptions;
+        let (gd, g, i, u, vs) = fixture();
+        let p = params();
+        let opts = MatcherOptions {
+            early_termination: false,
+            ..Default::default()
+        };
+        let mut m = Matcher::with_options(&gd, &g, &i, &p, opts);
+        let c = candidates(&mut m, u, None);
+        assert!(c.contains(&vs[0]));
+        assert!(c.contains(&vs[1])); // label "item" passes σ; fails later
+        assert!(!c.contains(&vs[2])); // "Addidas" ≠ "item"
+    }
+
+    /// The bound filter: the decoy passes σ but no descendant of it can
+    /// contribute to δ, so it is cut at candidate time — counted as the
+    /// early termination it is, costing no call and leaving no verdict.
+    #[test]
+    fn candidate_filter_cuts_pairs_the_first_bound_dooms() {
         let (gd, g, i, u, vs) = fixture();
         let p = params();
         let mut m = Matcher::new(&gd, &g, &i, &p);
         let c = candidates(&mut m, u, None);
         assert!(c.contains(&vs[0]));
-        assert!(c.contains(&vs[1])); // label "item" passes σ; fails later
-        assert!(!c.contains(&vs[2])); // "Addidas" ≠ "item"
+        assert!(!c.contains(&vs[1]));
+        assert_eq!(m.stats().early_terminations, 1);
+        assert_eq!(m.stats().calls, 0);
+        assert_eq!(m.cached(u, vs[1]), None);
+        assert!(!m.is_match(u, vs[1]), "the cut agrees with ParaMatch");
     }
 
     #[test]
@@ -261,7 +284,7 @@ mod tests {
         // not the whole run.
         let opts = MatcherOptions {
             budget: Budget::unlimited()
-                .with_max_calls(2)
+                .with_max_calls(1)
                 .with_deadline_in(Duration::from_secs(30)),
             ..Default::default()
         };

@@ -746,78 +746,28 @@ fn write_checkpoint(
     Ok(payload as u64)
 }
 
-/// Shared top-k selection table: vertex → `h_r` output.
-type SelectionMap = her_core::paramatch::Selections;
-
-/// Precomputes `h_r` top-k selections for every non-leaf vertex, chunked
-/// across `n` threads.
-fn precompute_selections(g: &Graph, params: &Params, n: usize) -> SelectionMap {
-    let vertices: Vec<VertexId> = g.vertices().filter(|&v| !g.is_leaf(v)).collect();
-    let chunk = vertices.len().div_ceil(n.max(1)).max(1);
-    let parts: Vec<SelectionMap> = std::thread::scope(|s| {
-            vertices
-                .chunks(chunk)
-                .map(|vs| {
-                    s.spawn(move || {
-                        vs.iter()
-                            .map(|&v| {
-                                (
-                                    v,
-                                    std::sync::Arc::new(
-                                        params.ranker.select(g, v, params.thresholds.k),
-                                    ),
-                                )
-                            })
-                            .collect()
-                    })
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .map(|h| h.join().expect("selection thread panicked"))
-                .collect()
-        });
-    let mut out = FxHashMap::default();
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
 /// Builds the process-wide shared score layer for a parallel run: one
 /// sharded cache (wired into the `scores.*` counters when `obs` is set)
 /// pre-warmed with the distinct vertex labels of both graphs and the
-/// distinct edge-label sequences of the precomputed selections, so the
+/// distinct edge-label sequences of the selections filled so far, so the
 /// worker hot loops perform hash lookups instead of embedding.
-fn build_shared_scores(
+fn prewarm_shared_scores(
+    shared: &SharedScores,
     gd: &Graph,
     g: &Graph,
     interner: &Interner,
     params: &Params,
-    sels: [&SelectionMap; 2],
-    cfg: &ParallelConfig,
     threads: usize,
-) -> SharedScores {
-    // A caller-supplied handle (e.g. the `Her` facade's) keeps its memo:
-    // the prewarm below reads through it, so anything embedded by an
-    // earlier run stays embedded exactly once process-wide.
-    let shared = match (cfg.shared_handle.as_ref(), cfg.obs.as_ref()) {
-        (Some(s), _) => s.clone(),
-        (None, Some(o)) => SharedScores::with_obs_for_workers(o, threads),
-        (None, None) => SharedScores::for_workers(threads),
-    };
+) {
     let mut labels: Vec<LabelId> = g.vertices().map(|v| g.label(v)).collect();
     labels.extend(gd.vertices().map(|v| gd.label(v)));
     shared.prewarm_labels(params, interner, &labels, threads);
-    let mut seqs: Vec<Vec<LabelId>> = Vec::new();
-    for sel in sels {
-        for paths in sel.values() {
-            for (_, p) in paths.iter() {
-                seqs.push(p.edge_labels().to_vec());
-            }
-        }
-    }
+    let selections = shared.selections(gd, g, params.thresholds.k);
+    let seqs: Vec<Vec<LabelId>> = selections
+        .filled()
+        .flat_map(|paths| paths.iter().map(|(_, p)| p.edge_labels().to_vec()))
+        .collect();
     shared.prewarm_paths(params, interner, &seqs, threads);
-    shared
 }
 
 /// Parallel `AllParaMatch`: all matches `(u_t, v)` for the given `G_D`
@@ -887,36 +837,41 @@ fn engine(
     };
     let resumed_from = snap.as_ref().map(|s| s.generation);
 
-    // Global h_r preprocessing (§IV "Complexity"): top-k selections for
-    // every vertex, computed once in parallel and shared read-only by all
-    // workers. This keeps descendant rankings identical across fragment
-    // boundaries, which Theorem 3's equivalence with the sequential
-    // algorithm implicitly assumes. Selections are derived state, so a
-    // resumed run recomputes rather than checkpoints them.
-    let t0 = std::time::Instant::now();
-    let span = cfg
-        .obs
-        .as_ref()
-        .map(|o| o.tracer.span_ctx("parallel.selection", cfg.ctx));
-    let sel_g = precompute_selections(g, params, n);
-    let sel_d = precompute_selections(gd, params, n);
-    drop(span);
-    let selection_secs = t0.elapsed().as_secs_f64();
-
     // Shared score layer: every worker (and the candidate probe) reads
-    // through one sharded cache, pre-warmed here so `M_v`/`M_ρ` run once
-    // per distinct label process-wide instead of once per worker. The
-    // cache is pure memoisation of deterministic score functions, so
-    // Theorem 3's sequential equivalence is unaffected.
-    let shared_scores = cfg.shared_scores.then(|| {
-        let span = cfg
-            .obs
-            .as_ref()
-            .map(|o| o.tracer.span_ctx("parallel.prewarm", cfg.ctx));
-        let s = build_shared_scores(gd, g, interner, params, [&sel_d, &sel_g], cfg, n);
-        drop(span);
-        s
+    // through one sharded cache. A caller-supplied handle (e.g. the `Her`
+    // facade's) keeps what it holds, so anything embedded or selected by
+    // an earlier run is not redone. The cache is pure memoisation of
+    // deterministic functions, so Theorem 3's sequential equivalence is
+    // unaffected.
+    let shared_scores = cfg.shared_scores.then(|| match (&cfg.shared_handle, &cfg.obs) {
+        (Some(s), _) => s.clone(),
+        (None, Some(o)) => SharedScores::with_obs_for_workers(o, n),
+        (None, None) => SharedScores::for_workers(n),
     });
+
+    // Global h_r preprocessing (§IV "Complexity"): the handle's selection
+    // table, filled once in parallel and read lock-free by all workers.
+    // Selections are always taken on the whole of `G`, so descendant
+    // rankings are identical across fragment boundaries, which Theorem
+    // 3's equivalence with the sequential algorithm implicitly assumes.
+    // They are derived state: a resumed run recomputes rather than
+    // checkpoints them, and workers without a shared handle fill a table
+    // of their own on demand.
+    let mut selection_secs = 0.0;
+    if let Some(shared) = &shared_scores {
+        let span = |name| cfg.obs.as_ref().map(|o| o.tracer.span_ctx(name, cfg.ctx));
+        let t0 = std::time::Instant::now();
+        let selecting = span("parallel.selection");
+        shared
+            .selections(gd, g, params.thresholds.k)
+            .fill(gd, g, &params.ranker, n);
+        drop(selecting);
+        selection_secs = t0.elapsed().as_secs_f64();
+        // Pre-warmed here so `M_v`/`M_ρ` run once per distinct label
+        // process-wide instead of once per worker.
+        let _prewarming = span("parallel.prewarm");
+        prewarm_shared_scores(shared, gd, g, interner, params, n);
+    }
 
     let new_matcher = || {
         Matcher::with_options(
@@ -930,7 +885,6 @@ fn engine(
                 ..Default::default()
             },
         )
-        .with_selections(sel_d.clone(), sel_g.clone())
     };
 
     let mut candidates_secs = 0.0;
@@ -1028,29 +982,21 @@ fn engine(
             .map(|o| o.tracer.span_ctx("parallel.candidates", cfg.ctx));
         let index = cfg.use_blocking.then(|| InvertedIndex::build(g, interner));
         // One throwaway matcher per chunk of tuple vertices, on the same
-        // `n` scoped threads the selection precompute uses. Each shares
-        // the score layer so its embeddings are not redone, and reports
-        // into the same registry so `scores.embed_calls` covers candidate
-        // generation in both modes. Roots carry their Fig. 8 line-4 sort
+        // `n` scoped threads the selection fill uses. Each shares the
+        // score layer so its embeddings and selections are not redone,
+        // and reports into the same registry so `scores.embed_calls` and
+        // `paramatch.early_terminations` cover candidate generation — a
+        // probe has no border, so it cuts exactly the root pairs their
+        // owners' first bound would. Roots carry their Fig. 8 line-4 sort
         // key, `deg(u) + deg(v)`, so ordering them compares plain tuples.
         let chunk = tuple_vertices.len().div_ceil(n).max(1);
-        let (index, fixed, shared_scores) = (&index, &fixed, &shared_scores);
+        let (index, fixed, new_matcher) = (&index, &fixed, &new_matcher);
         let chunks: Vec<Vec<Vec<(usize, VertexId, VertexId)>>> = std::thread::scope(|s| {
             tuple_vertices
                 .chunks(chunk)
                 .map(|us| {
                     s.spawn(move || {
-                        let mut probe = Matcher::with_options(
-                            gd,
-                            g,
-                            interner,
-                            params,
-                            MatcherOptions {
-                                obs: cfg.obs.clone(),
-                                shared_scores: shared_scores.clone(),
-                                ..Default::default()
-                            },
-                        );
+                        let mut probe = new_matcher();
                         let mut roots = vec![Vec::new(); n];
                         for &u in us {
                             let deg_u = gd.degree(u);
@@ -1092,11 +1038,9 @@ fn engine(
             .zip(borders)
             .enumerate()
             .map(|(i, (roots, border))| {
-                let mut matcher = new_matcher().with_border(border);
-                matcher.reserve_verdicts(roots.len());
                 PWorker {
                     id: i,
-                    matcher,
+                    matcher: new_matcher().with_border(border),
                     part: part.clone(),
                     fault: cfg.fault.clone(),
                     roots,

@@ -36,6 +36,47 @@ fn arb_graph(max_v: usize, max_e: usize) -> impl Strategy<Value = (Graph, Intern
     })
 }
 
+/// `G_D` and `G` over one interner, from a slightly richer alphabet
+/// than [`arb_graph`]'s (multi-token labels, so the blocking index has
+/// tokens to share), plus a third graph that interns one more label —
+/// after the other two, hence after an index over `G` is built.
+fn arb_graph_pair(
+    max_v: usize,
+    max_e: usize,
+) -> impl Strategy<Value = ((Graph, Graph, Interner), (Graph, Interner))> {
+    type Spec = (Vec<&'static str>, Vec<(usize, usize, &'static str)>);
+    fn spec(max_v: usize, max_e: usize) -> impl Strategy<Value = Spec> {
+        let labels = prop::sample::select(vec![
+            "a", "b", "c", "item", "red", "blue", "red item", "blue b c",
+        ]);
+        let edge_labels = prop::sample::select(vec!["e", "f", "knows", "has"]);
+        (2usize..=max_v).prop_flat_map(move |n| {
+            (
+                prop::collection::vec(labels.clone(), n),
+                prop::collection::vec(((0..n), (0..n), edge_labels.clone()), 0..=max_e),
+            )
+        })
+    }
+    fn build(mut b: GraphBuilder, (vlabels, edges): &Spec) -> (Graph, Interner) {
+        let vs: Vec<VertexId> = vlabels.iter().map(|l| b.add_vertex(l)).collect();
+        for &(s, t, l) in edges {
+            if s != t {
+                b.add_edge(vs[s], vs[t], l);
+            }
+        }
+        b.build()
+    }
+    (spec(max_v, max_e), spec(max_v, max_e)).prop_map(|(d, g)| {
+        let (gd, i) = build(GraphBuilder::new(), &d);
+        let (g, interner) = build(GraphBuilder::with_interner(i), &g);
+        let mut late = GraphBuilder::with_interner(interner.clone());
+        let root = late.add_vertex("late red thing");
+        let child = late.add_vertex(d.0[0]);
+        late.add_edge(root, child, "has");
+        ((gd, g, interner), late.build())
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -212,6 +253,100 @@ proptest! {
                             ..Default::default()
                         });
                         prop_assert_eq!(&parallel, &matches, "{} workers, shared {}", workers, shared_scores);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Candidate generation decides the first `MaxSco` bound, and nothing
+    /// else: on random `(G_D, G)` with random σ, δ and `k`, under all
+    /// eight toggle combinations, scanning and blocked. The reference is
+    /// written here from public pieces — pool, then `hv_pair ≥ σ`, then a
+    /// fresh matcher's `is_match` per pair — and (i) `candidates(u)` sits
+    /// between the reference matches of `u` and `C(u)`; (ii) every pair
+    /// it drops is a non-match; (iii) `apair`, `vpair`, `try_vpair` and
+    /// 2-worker `pallmatch`, threaded and simulated, return exactly the
+    /// reference match set; (iv) the index's query by vertex is its query
+    /// by string, element for element.
+    #[test]
+    fn candidate_generation_is_exact(
+        ((gd, g, interner), (late, late_interner)) in arb_graph_pair(7, 12),
+        sigma in 0.5f32..1.0,
+        delta in 0.0f32..1.5,
+        k in prop::sample::select(vec![1usize, 3, 70]),
+    ) {
+        use her::core::apair::apair;
+        use her::core::index::{blocking_query, InvertedIndex};
+        use her::core::paramatch::MatcherOptions;
+        use her::core::vpair::{candidates, try_vpair, vpair};
+        let params = Params::untrained(16, 8).with_thresholds(Thresholds::new(sigma, delta, k));
+        let idx = InvertedIndex::build(&g, &interner);
+        let roots: Vec<VertexId> = gd.vertices().collect();
+
+        // (iv), including the all-stop-token fallback (this alphabet puts
+        // most tokens on most vertices) and a label interned after `build`.
+        for &u in &roots {
+            prop_assert_eq!(
+                idx.pool(&gd, &interner, u),
+                idx.candidates(&blocking_query(&gd, &interner, u))
+            );
+        }
+        for u in late.vertices() {
+            prop_assert_eq!(
+                idx.pool(&late, &late_interner, u),
+                idx.candidates(&blocking_query(&late, &late_interner, u))
+            );
+        }
+
+        for bits in 0..8u8 {
+            let opts = MatcherOptions {
+                early_termination: bits & 1 == 0,
+                use_ecache: bits & 2 == 0,
+                sorted_lists: bits & 4 == 0,
+                ..Default::default()
+            };
+            let matcher = || Matcher::with_options(&gd, &g, &interner, &params, opts.clone());
+            for index in [None, Some(&idx)] {
+                let mut reference: Vec<(VertexId, VertexId)> = Vec::new();
+                for &u in &roots {
+                    let pool: Vec<VertexId> = match index {
+                        Some(idx) => idx.candidates(&blocking_query(&gd, &interner, u)),
+                        None => g.vertices().collect(),
+                    };
+                    let mut probe = matcher();
+                    let c: Vec<VertexId> =
+                        pool.into_iter().filter(|&v| probe.hv_pair(u, v) >= sigma).collect();
+                    let matches: Vec<VertexId> =
+                        c.iter().copied().filter(|&v| matcher().is_match(u, v)).collect();
+                    let mut m = matcher();
+                    let generated = candidates(&mut m, u, index);
+                    // (i) and (ii)
+                    prop_assert!(matches.iter().all(|v| generated.contains(v)), "{:?}: lost a match of {:?}", opts, u);
+                    prop_assert!(generated.iter().all(|v| c.contains(v)), "{:?}: outside C({:?})", opts, u);
+                    for v in c.iter().filter(|v| !generated.contains(v)) {
+                        prop_assert!(!matcher().is_match(u, *v), "{:?}: dropped the match ({:?}, {:?})", opts, u, v);
+                    }
+                    prop_assert_eq!(m.stats().calls, 0);
+                    prop_assert_eq!(m.stats().early_terminations as usize, c.len() - generated.len());
+                    // (iii), one tuple at a time
+                    prop_assert_eq!(&vpair(&mut matcher(), u, index), &matches, "vpair, {:?}", opts);
+                    let run = try_vpair(&mut matcher(), u, index);
+                    prop_assert!(run.is_complete());
+                    prop_assert_eq!(&run.matches, &matches, "try_vpair, {:?}", opts);
+                    reference.extend(matches.into_iter().map(|v| (u, v)));
+                }
+                // (iii), all pairs
+                prop_assert_eq!(&apair(&mut matcher(), &roots, index), &reference, "apair, {:?}", opts);
+                if bits == 0 {
+                    for simulate_cluster in [true, false] {
+                        let (parallel, _) = pallmatch(&gd, &g, &interner, &params, &roots, &ParallelConfig {
+                            workers: 2,
+                            use_blocking: index.is_some(),
+                            simulate_cluster,
+                            ..Default::default()
+                        });
+                        prop_assert_eq!(&parallel, &reference, "pallmatch, simulated {}", simulate_cluster);
                     }
                 }
             }
