@@ -5,16 +5,18 @@
 //! follows the paper's three stages:
 //!
 //! 1. **Initial stage** — reject on `h_v < σ`; accept leaves; select
-//!    top-k descendants through `ecache`; compute the initial `MaxSco`
-//!    bound straight from the score memo and reject when it is already
-//!    below `δ`, before anything is built (candidate generation asks the
-//!    same routine first — [`Matcher::viable`] — so the root pairs this
-//!    would reject, nearly all of them, are never called on at all);
-//!    otherwise install an *optimistic* `cache[u,v] = [true, ∅]` entry
-//!    (the coinductive assumption that lets interdependent candidates —
-//!    e.g. pairs on a cycle — be resolved without infinite recursion)
-//!    and build per-descendant candidate lists sorted by descending
-//!    `h_ρ`.
+//!    top-k descendants through `ecache`, as *plans* — flat entries over
+//!    interned ids ([`PlanEntry`]), so nothing below reads a path;
+//!    compute the initial `MaxSco` bound from the σ rows and the dense
+//!    `h_ρ` table and reject when it is already below `δ`, before
+//!    anything is built (candidate generation asks the same
+//!    `FirstBound` first — [`Matcher::viable`], with a ceiling from
+//!    masks alone ahead of the float — so the root pairs this would
+//!    reject, nearly all of them, are never called on at all); otherwise
+//!    install an *optimistic* `cache[u,v] = [true, ∅]` entry (the
+//!    coinductive assumption that lets interdependent candidates — e.g.
+//!    pairs on a cycle — be resolved without infinite recursion) and
+//!    build per-descendant candidate lists sorted by descending `h_ρ`.
 //! 2. **Matching stage** — maintain `MaxSco`, the best achievable aggregate
 //!    score; terminate early when it sinks below `δ`; otherwise greedily
 //!    grow a partial injective lineage set `W`, recursing on unresolved
@@ -25,10 +27,10 @@
 //!    are repaired (appendix C).
 
 use crate::params::Params;
-use crate::scores::ScoreCache;
-use crate::shared_scores::{Selection, SelectionTable, SharedScores};
+use crate::scores::{ScoreCache, SigmaRow};
+use crate::shared_scores::{PlanEntry, Selection, SelectionTable, SharedScores};
 use her_graph::hash::{FxHashMap, FxHashSet};
-use her_graph::{Graph, Interner, LabelId, Path, VertexId};
+use her_graph::{Graph, Interner, LabelId, VertexId};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc as Rc;
 use std::time::{Duration, Instant};
@@ -308,21 +310,31 @@ struct Cand {
 /// selected `u′` of the `h_ρ` its candidate list would start with. Armed
 /// per `u`, it is asked once per `v` — by [`Matcher::para_match`] for
 /// the one pair it was called on and by [`Matcher::viable`] for a whole
-/// candidate pool — so both cut on one definition of the float.
+/// candidate pool — so both cut on one definition of the float, and
+/// [`Matcher::matching_stage`] builds its lists from the same rows.
 ///
-/// What makes a pool affordable is the row: per vertex label of `G`,
-/// the set of `u′` that are σ-compatible with it, as a bitmask filled on
-/// first sight and valid until the next [`FirstBound::arm`] (an epoch
-/// stamp, so re-arming touches nothing).
+/// Everything it reads is an interned id ([`PlanEntry`]). Per vertex
+/// label of `G` it keeps the set of `u′` that are σ-compatible with it as
+/// a bitmask, assembled from the memo's σ rows on first sight and valid
+/// until the next [`FirstBound::arm`] (an epoch stamp, so re-arming
+/// touches nothing). Before any float of `v` is read, the masks of its
+/// entries are OR-ed into a *cover* and the covered `u′` pay their
+/// `wmax` — the most any path could score against theirs: a sum below δ
+/// settles `v` ([`FirstBound::cover_bound`]).
 #[derive(Default)]
 struct FirstBound {
-    su: Selection,
-    /// `L(u′)` per selected descendant, parallel to `su`.
-    ends: Vec<LabelId>,
+    /// The armed `u`'s plan: one entry per selected `u′`.
+    su: Vec<PlanEntry>,
+    /// The σ row of each `L(u′)`, parallel to `su`.
+    rows: Vec<Option<SigmaRow>>,
+    /// Per `u′`: no `h_ρ(ρ_{u′}, ρ)` exceeds this for any `ρ` labelled by
+    /// a sequence with an id below `wmax_seqs` (0: not asked this arm).
+    wmax: Vec<f32>,
+    wmax_seqs: usize,
     /// Mask words per label: `⌈|su| / 64⌉`, so any `k` fits.
     words: usize,
     epoch: u32,
-    /// Per `LabelId`: the epoch its mask was filled in.
+    /// Per `LabelId`: the epoch its mask was assembled in.
     stamp: Vec<u32>,
     /// Per `LabelId`, `words` words: bit `i` ⇔ `h_v(L(u′ᵢ), label) ≥ σ`.
     masks: Vec<u64>,
@@ -330,12 +342,24 @@ struct FirstBound {
     heads: Vec<Option<f32>>,
 }
 
+/// What a [`FirstBound`] scores with: the matcher's memo and the
+/// arguments every score read takes.
+struct Scoring<'m> {
+    scores: &'m mut ScoreCache,
+    params: &'m Params,
+    interner: &'m Interner,
+}
+
 impl FirstBound {
-    /// Points the bound at `u`, whose selection is `su`.
-    fn arm(&mut self, gd: &Graph, su: &Selection) {
-        self.su = Rc::clone(su);
-        self.ends.clear();
-        self.ends.extend(su.iter().map(|(_, pu)| gd.label(pu.end())));
+    /// Points the bound at `u`, whose plan is `su`.
+    fn arm(&mut self, sc: &mut Scoring<'_>, su: &[PlanEntry]) {
+        self.su.clear();
+        self.su.extend_from_slice(su);
+        self.rows.clear();
+        for e in su {
+            self.rows.push(sc.scores.sigma_row(sc.params, sc.interner, e.label));
+        }
+        self.wmax_seqs = 0;
         self.words = su.len().div_ceil(64);
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
@@ -345,63 +369,131 @@ impl FirstBound {
         }
     }
 
-    /// The bound of `(u, v)` for the armed `u` and `sv`, the selection
-    /// of `v`: per `u′` the best `h_ρ` over σ-compatible `v′` when lists
+    /// Where the mask of `label` starts in `masks`, assembled from the σ
+    /// rows if this is the arm's first sight of it.
+    #[inline(always)]
+    fn mask(&mut self, sc: &mut Scoring<'_>, label: LabelId) -> usize {
+        if self.stamp.get(label.index()) != Some(&self.epoch) {
+            self.assemble(sc, label);
+        }
+        label.index() * self.words
+    }
+
+    /// Kept out of line: [`Self::mask`] is the pool's inner loop.
+    #[cold]
+    fn assemble(&mut self, sc: &mut Scoring<'_>, label: LabelId) {
+        let row = label.index() * self.words..(label.index() + 1) * self.words;
+        if self.stamp.len() <= label.index() {
+            self.stamp.resize(label.index() + 1, 0);
+        }
+        if self.masks.len() < row.end {
+            self.masks.resize(row.end, 0);
+        }
+        self.stamp[label.index()] = self.epoch;
+        self.masks[row.clone()].fill(0);
+        for (i, (e, &sigma_row)) in self.su.iter().zip(&self.rows).enumerate() {
+            if sc.scores.reaches_sigma(sc.params, sc.interner, (e.label, sigma_row), label) {
+                self.masks[row.start + i / 64] |= 1 << (i % 64);
+            }
+        }
+    }
+
+    /// The cover bound of `(u, v)`: a ceiling on [`Self::max_sco`] from
+    /// masks alone — no head, no `h_ρ` of `v`. With `cover` the union of
+    /// the masks of `v`'s entries, `ub = Σ_{i ∈ cover} wmax[i]` in list
+    /// order. `max_sco` sums, in the same order, the head of every `u′`
+    /// that has one — exactly the covered ones — and 0, which changes no
+    /// float, for the rest; a head is one of the `h_ρ` its `wmax` is the
+    /// largest of (also when negative, also unsorted); and rounded `f32`
+    /// addition is monotone in each argument. So `ub ≥ max_sco` term by
+    /// term, and `ub < δ` settles `v`. `None` past one mask word, or
+    /// with nothing selected: ask `max_sco`.
+    fn cover_bound(&mut self, sc: &mut Scoring<'_>, sv: &[PlanEntry]) -> Option<f32> {
+        if self.words != 1 {
+            return None;
+        }
+        let (mut cover, mut seqs) = (0u64, 0);
+        for e in sv {
+            let at = self.mask(sc, e.label);
+            cover |= self.masks[at];
+            seqs = seqs.max(e.seq as usize + 1);
+        }
+        if cover != 0 && seqs > self.wmax_seqs {
+            // `wmax` has not met one of these sequences: it was interned
+            // since, or this is the arm's first ask.
+            self.wmax.clear();
+            self.wmax_seqs = usize::MAX;
+            for e in &self.su {
+                let (w, seqs) = sc.scores.wmax(sc.params, sc.interner, e.seq);
+                self.wmax.push(w);
+                self.wmax_seqs = self.wmax_seqs.min(seqs);
+            }
+        }
+        let mut ub = 0.0f32;
+        while cover != 0 {
+            ub += self.wmax[cover.trailing_zeros() as usize];
+            cover &= cover - 1;
+        }
+        Some(ub)
+    }
+
+    /// Line 12 for a pool member: does the first bound of `(u, v)` fall
+    /// short of `delta` — by its ceiling when that can tell, else by the
+    /// float. (One pair at a time asks the float: a ceiling costs `wmax`
+    /// its scores up front and pays over a pool.)
+    fn falls_short(&mut self, sc: &mut Scoring<'_>, sorted_lists: bool, sv: &[PlanEntry], delta: f32) -> bool {
+        self.cover_bound(sc, sv).is_some_and(|ub| ub < delta) || self.max_sco(sc, sorted_lists, sv) < delta
+    }
+
+    /// The bound of `(u, v)` for the armed `u` and `sv`, the plan of
+    /// `v`: per `u′` the best `h_ρ` over σ-compatible `v′` when lists
     /// are sorted, the first in selection order otherwise, summed in
     /// list order — the float [`Matcher::matching_stage`] derives from
     /// the lists it builds.
-    fn max_sco(
-        &mut self,
-        scores: &mut ScoreCache,
-        g: &Graph,
-        params: &Params,
-        interner: &Interner,
-        sorted_lists: bool,
-        sv: &[(VertexId, Path)],
-    ) -> f32 {
-        let FirstBound { su, ends, words, epoch, stamp, masks, heads } = self;
-        let (words, epoch) = (*words, *epoch);
-        heads.clear();
-        heads.resize(su.len(), None);
-        for (vp, pv) in sv {
-            let label = g.label(*vp);
-            let row = label.index() * words..(label.index() + 1) * words;
-            if stamp.get(label.index()) != Some(&epoch) {
-                if stamp.len() <= label.index() {
-                    stamp.resize(label.index() + 1, 0);
-                }
-                if masks.len() < row.end {
-                    masks.resize(row.end, 0);
-                }
-                stamp[label.index()] = epoch;
-                masks[row.clone()].fill(0);
-                for (i, &end) in ends.iter().enumerate() {
-                    if scores.hv(params, interner, end, label) >= params.thresholds.sigma {
-                        masks[row.start + i / 64] |= 1 << (i % 64);
-                    }
-                }
-            }
-            for (w, &mask) in masks[row].iter().enumerate() {
-                let mut bits = mask;
+    fn max_sco(&mut self, sc: &mut Scoring<'_>, sorted_lists: bool, sv: &[PlanEntry]) -> f32 {
+        self.heads.clear();
+        self.heads.resize(self.su.len(), None);
+        for e in sv {
+            let at = self.mask(sc, e.label);
+            for w in 0..self.words {
+                let mut bits = self.masks[at + w];
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let head = &mut heads[i];
-                    if !sorted_lists && head.is_some() {
+                    if !sorted_lists && self.heads[i].is_some() {
                         continue;
                     }
-                    let hrho = scores.hrho(params, interner, &su[i].1, pv);
-                    if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
-                        *head = Some(hrho);
+                    let ue = self.su[i];
+                    let hrho =
+                        sc.scores.hrho_ids(sc.params, sc.interner, (ue.seq, ue.len), (e.seq, e.len));
+                    if self.heads[i].is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
+                        self.heads[i] = Some(hrho);
                     }
                 }
             }
         }
         let mut bound = 0.0f32;
-        for head in heads.iter() {
+        for head in &self.heads {
             bound += head.unwrap_or(0.0);
         }
         bound
+    }
+
+    /// Line 11 for the armed `u`: per `u′` its σ-compatible candidates
+    /// among `sv` with the `h_ρ` of the witness paths, in selection order.
+    fn lists(&mut self, sc: &mut Scoring<'_>, sv: &[PlanEntry]) -> Vec<Vec<Cand>> {
+        let mut lists = vec![Vec::new(); self.su.len()];
+        for e in sv {
+            let at = self.mask(sc, e.label);
+            for (i, (ue, l)) in self.su.iter().zip(&mut lists).enumerate() {
+                if self.masks[at + i / 64] >> (i % 64) & 1 != 0 {
+                    let hrho =
+                        sc.scores.hrho_ids(sc.params, sc.interner, (ue.seq, ue.len), (e.seq, e.len));
+                    l.push(Cand { v: e.end, hrho });
+                }
+            }
+        }
+        lists
     }
 }
 
@@ -439,9 +531,8 @@ pub struct Matcher<'a> {
     cache: FxHashMap<PairKey, CacheEntry>,
     /// Reverse dependencies: pair → recorded pairs whose `W` contains it.
     rdeps: FxHashMap<PairKey, Vec<PairKey>>,
-    /// `ecache`: the score handle's selection table for this generation,
-    /// fetched on first use, and what of it this matcher has read.
-    ecache: Option<Rc<SelectionTable>>,
+    /// What of `ecache` — the score handle's selection table, held by
+    /// `scores` — this matcher has read.
     seen: [Seen; 2],
     bound: FirstBound,
     stats: MatchStats,
@@ -495,7 +586,6 @@ impl<'a> Matcher<'a> {
             seen_generation,
             cache: FxHashMap::default(),
             rdeps: FxHashMap::default(),
-            ecache: None,
             seen: Default::default(),
             bound: FirstBound::default(),
             stats: MatchStats::default(),
@@ -684,22 +774,13 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// `(u', v')` from the two selections: is it σ-compatible, and if so
-    /// what is the `h_ρ` of its witness paths?
-    fn candidate_hrho(&mut self, pu: &Path, vp: VertexId, pv: &Path) -> Option<f32> {
-        let (params, interner) = (self.params, self.interner);
-        let (lu, lv) = (self.gd.label(pu.end()), self.g.label(vp));
-        (self.scores.hv(params, interner, lu, lv) >= params.thresholds.sigma)
-            .then(|| self.scores.hrho(params, interner, pu, pv))
-    }
-
-    /// Drops everything derived from scores: the private pair memo,
-    /// verdicts, the lineage index and selections.
+    /// Drops everything derived from scores: the private memo with its
+    /// σ rows, id-keyed tables and hold on the selection table, verdicts
+    /// and the lineage index.
     fn drop_derived(&mut self) {
         self.scores.clear();
         self.cache.clear();
         self.rdeps.clear();
-        self.ecache = None;
         self.seen = Default::default();
     }
 
@@ -813,15 +894,32 @@ impl<'a> Matcher<'a> {
         Rc::clone(self.ecache().select(in_g, graph, ranker, x))
     }
 
-    /// The selection table of the score handle's current generation.
-    fn ecache(&mut self) -> &Rc<SelectionTable> {
-        let (gd, g, k) = (self.gd, self.g, self.params.thresholds.k);
-        let shared = self.scores.shared();
-        self.ecache.get_or_insert_with(|| shared.selections(gd, g, k))
+    /// [`Matcher::select`] as a plan of `table`, which is `ecache`:
+    /// borrowed from it, or compiled into `fresh` with `use_ecache` off.
+    fn plan<'t>(
+        &mut self,
+        table: &'t SelectionTable,
+        in_g: bool,
+        x: VertexId,
+        fresh: &'t mut Box<[PlanEntry]>,
+    ) -> &'t [PlanEntry] {
+        let graph = if in_g { self.g } else { self.gd };
+        let (ranker, k) = (&self.params.ranker, self.params.thresholds.k);
+        if !self.options.use_ecache {
+            *fresh = table.compile(graph, &ranker.select(graph, x, k));
+            return fresh;
+        }
+        self.stats.ecache_hits += u64::from(self.seen[usize::from(in_g)].replace(x));
+        table.plan(in_g, graph, ranker, x)
     }
 
-    /// `M_ρ` on two raw edge-label sequences (memoised). Used by schema
-    /// matching to score path prefixes (appendix D).
+    /// The selection table of the score handle's current generation.
+    fn ecache(&mut self) -> Rc<SelectionTable> {
+        Rc::clone(self.scores.table(self.gd, self.g, self.params.thresholds.k))
+    }
+
+    /// `M_ρ` on two raw edge-label sequences (memoised on the shared
+    /// tier). Used by schema matching to score path prefixes (appendix D).
     pub fn mrho_seq(&mut self, seq1: &[her_graph::LabelId], seq2: &[her_graph::LabelId]) -> f32 {
         self.sync_shared_generation();
         let s = self.scores.mrho(self.params, self.interner, seq1, seq2);
@@ -1010,18 +1108,20 @@ impl<'a> Matcher<'a> {
                 return Ok(true);
             }
         }
-        let su = self.select_d(u);
-        let sv = self.select_g(v);
+        let table = self.ecache();
+        let (mut fresh_u, mut fresh_v) = Default::default();
+        let su = self.plan(&table, false, u, &mut fresh_u);
+        let sv = self.plan(&table, true, v, &mut fresh_v);
         // Line 12 ahead of line 11: a pair that cannot reach δ is decided
         // before lists are built or `cache` is touched. Root pairs rarely
         // get this far — [`Matcher::viable`] cuts them at candidate time.
-        if self.options.early_termination {
-            self.bound.arm(self.gd, &su);
-            if self.max_sco(&sv) < delta {
-                self.stats.early_terminations += 1;
-                self.set_verdict(u, v, false, Vec::new());
-                return Ok(false);
-            }
+        let (bounded, sorted) = (self.options.early_termination, self.options.sorted_lists);
+        let (bound, mut sc) = self.bound_and_scoring();
+        bound.arm(&mut sc, su);
+        if bounded && bound.max_sco(&mut sc, sorted, sv) < delta {
+            self.stats.early_terminations += 1;
+            self.set_verdict(u, v, false, Vec::new());
+            return Ok(false);
         }
         // Optimistic assumption enabling cyclic interdependence (appendix C).
         self.cache.insert(
@@ -1032,7 +1132,7 @@ impl<'a> Matcher<'a> {
             },
         );
 
-        match self.matching_stage(u, v, &su, &sv) {
+        match self.matching_stage(u, v, su, sv) {
             Ok(verdict) => Ok(verdict),
             Err(reason) => {
                 // Graceful unwind: retract the in-flight optimistic entry
@@ -1044,11 +1144,10 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// The first `MaxSco` bound of `(u, v)`, for the `u` the bound is
-    /// armed for and `sv`, the selection of `v`.
-    fn max_sco(&mut self, sv: &[(VertexId, Path)]) -> f32 {
-        let sorted = self.options.sorted_lists;
-        self.bound.max_sco(&mut self.scores, self.g, self.params, self.interner, sorted, sv)
+    /// The first bound and what it scores with, borrowed side by side.
+    fn bound_and_scoring(&mut self) -> (&mut FirstBound, Scoring<'_>) {
+        let sc = Scoring { scores: &mut self.scores, params: self.params, interner: self.interner };
+        (&mut self.bound, sc)
     }
 
     /// Candidate generation's half of `ParaMatch`: the members of `pool`
@@ -1060,37 +1159,33 @@ impl<'a> Matcher<'a> {
     /// is; none counts as a call, installs a verdict or spends budget.
     pub fn viable(&mut self, u: VertexId, mut pool: Vec<VertexId>) -> Vec<VertexId> {
         self.sync_shared_generation();
-        let Params { thresholds, .. } = self.params;
-        let (sigma, delta) = (thresholds.sigma, thresholds.delta);
+        let (params, interner) = (self.params, self.interner);
+        let delta = params.thresholds.delta;
         let bounded = self.options.early_termination && !self.gd.is_leaf(u);
+        let sorted = self.options.sorted_lists;
+        // Held here so a pool member's plan is borrowed, not cloned.
+        let table = self.ecache();
+        let mut fresh = Default::default();
         if bounded {
-            let su = self.select_d(u);
-            self.bound.arm(self.gd, &su);
+            let su = self.plan(&table, false, u, &mut fresh);
+            let (bound, mut sc) = self.bound_and_scoring();
+            bound.arm(&mut sc, su);
         }
-        // Held here so a pool member's selection is borrowed, not cloned.
-        let table = (bounded && self.options.use_ecache).then(|| Rc::clone(self.ecache()));
-        let ranker = &self.params.ranker;
+        // The root test reads `L(u)`'s σ row like any end label's.
+        let lu = self.gd.label(u);
+        let root = self.scores.sigma_row(params, interner, lu);
         pool.retain(|&v| {
-            if self.hv_pair(u, v) < sigma {
+            if !self.scores.reaches_sigma(params, interner, (lu, root), self.g.label(v)) {
                 return false;
             }
             if !bounded || self.border.as_ref().is_some_and(|b| b.contains(&v)) {
                 return true;
             }
-            let fresh;
-            let sv = match &table {
-                Some(table) => {
-                    self.stats.ecache_hits += u64::from(self.seen[1].replace(v));
-                    table.select(true, self.g, ranker, v).as_slice()
-                }
-                None => {
-                    fresh = ranker.select(self.g, v, thresholds.k);
-                    fresh.as_slice()
-                }
-            };
-            let reaches = self.max_sco(sv) >= delta;
-            self.stats.early_terminations += u64::from(!reaches);
-            reaches
+            let sv = self.plan(&table, true, v, &mut fresh);
+            let (bound, mut sc) = self.bound_and_scoring();
+            let cut = bound.falls_short(&mut sc, sorted, sv, delta);
+            self.stats.early_terminations += u64::from(cut);
+            !cut
         });
         self.flush_telemetry();
         pool
@@ -1103,26 +1198,21 @@ impl<'a> Matcher<'a> {
         &mut self,
         u: VertexId,
         v: VertexId,
-        su: &[(VertexId, Path)],
-        sv: &[(VertexId, Path)],
+        su: &[PlanEntry],
+        sv: &[PlanEntry],
     ) -> Result<bool, ExhaustReason> {
         let delta = self.params.thresholds.delta;
 
         // Line 11: candidate lists per selected descendant u', sorted by
-        // descending h_ρ of the witness paths.
-        let mut lists: Vec<Vec<Cand>> = Vec::with_capacity(su.len());
-        for (_, pu) in su.iter() {
-            let mut l: Vec<Cand> = Vec::new();
-            for (vp, pv) in sv.iter() {
-                if let Some(hrho) = self.candidate_hrho(pu, *vp, pv) {
-                    l.push(Cand { v: *vp, hrho });
-                }
-            }
+        // descending h_ρ of the witness paths. The bound is armed for
+        // `u` — the caller did, and nothing has recursed since.
+        let (bound, mut sc) = self.bound_and_scoring();
+        let mut lists = bound.lists(&mut sc, sv);
+        for l in &mut lists {
             if self.options.sorted_lists {
                 l.sort_by(|a, b| b.hrho.total_cmp(&a.hrho).then_with(|| a.v.cmp(&b.v)));
             }
             self.probe(|p| p.candidate_list_len.observe(l.len() as u64));
-            lists.push(l);
         }
 
         // --- Matching stage (lines 12-27) ---
@@ -1138,7 +1228,7 @@ impl<'a> Matcher<'a> {
         let mut used: FxHashSet<VertexId> = FxHashSet::default();
 
         'outer: for (ui, l) in lists.iter().enumerate() {
-            let u_desc = su[ui].0;
+            let u_desc = su[ui].end;
             for (ci, cand) in l.iter().enumerate() {
                 // Partial injective mapping: each v' matches at most one u'.
                 let skip = used.contains(&cand.v);
@@ -1730,10 +1820,12 @@ mod tests {
     /// The invalidation-generation protocol across matchers: fine-tuning
     /// plus `invalidate()` on one matcher bumps the shared generation,
     /// and a *different* matcher on the same handle drops its stale
-    /// verdicts at its next query. Restore adopts the current generation.
+    /// verdicts — with its σ rows, dense table and hold on the plans —
+    /// at its next query. Restore adopts the current generation.
     #[test]
     fn shared_generation_invalidation_covers_fine_tune_and_restore() {
-        let (gd, g, interner, u, v, _) = fixture();
+        use crate::vpair::candidates;
+        let (gd, g, interner, u, v, decoy) = fixture();
         let mut p = params(0.9, 0.1, 5);
         let shared = SharedScores::new();
         let opts = || MatcherOptions {
@@ -1745,6 +1837,10 @@ mod tests {
             let mut b = Matcher::with_options(&gd, &g, &interner, &p, opts());
             assert!(a.is_match(u, v));
             assert!(b.is_match(u, v));
+            // The decoy's red is no white: its bound is 0 and it is cut.
+            assert_eq!(candidates(&mut b, u, None), vec![v]);
+            let plans = b.ecache();
+            assert!(plans.seq_count() > 0);
             let ck = b.checkpoint();
             // Invalidating through matcher `a` bumps the shared
             // generation; matcher `b` notices at its next query and
@@ -1760,17 +1856,33 @@ mod tests {
             // ...and re-derived from the handle, not from b's private pair
             // memo: the sync dropped that along with the verdicts.
             assert!(shared.hv_entries() > 0, "private memo survived the bump");
+            assert!(!Rc::ptr_eq(&plans, &b.ecache()), "b kept the old generation's plans");
+            assert_eq!(candidates(&mut b, u, None), vec![v], "unchanged params, same candidates");
             ck
         };
 
         // Fine-tune while the shared handle outlives every matcher — the
         // Her::refine pattern. The handle still holds pre-tuning memos;
         // invalidate() drops them and bumps the generation.
+        // One σ bit first: annotate white ~ red. After `invalidate()`
+        // rows, dense table and plans are rebuilt and the decoy's colour
+        // covers `u`'s — it is a candidate now.
+        for _ in 0..12 {
+            p.mv.fine_tune_pair("white", "red", 1.0);
+        }
+        shared.invalidate();
+        assert_eq!(shared.generation(), 2);
+        let mut c = Matcher::with_options(&gd, &g, &interner, &p, opts());
+        assert_eq!(c.ecache().seq_count(), 0, "plans start over with the generation");
+        assert_eq!(candidates(&mut c, u, None), vec![v, decoy], "the flipped bit is read");
+        assert!(c.scores.hv_entries() > 0 && c.ecache().seq_count() > 0);
+        drop(c);
+
         for _ in 0..12 {
             p.mv.fine_tune_pair("item", "item", 0.0);
         }
         shared.invalidate();
-        assert_eq!(shared.generation(), 2);
+        assert_eq!(shared.generation(), 3);
         let mut c = Matcher::with_options(&gd, &g, &interner, &p, opts());
         assert!(!c.is_match(u, v), "fine-tuned to a non-match");
 
@@ -1782,6 +1894,12 @@ mod tests {
         r.restore(&ck);
         assert_eq!(r.cached(u, v), Some(true), "checkpoint verdicts restored");
         assert_eq!(r.scores_generation(), shared.generation());
+        // Rows, dense table and plans are not in a checkpoint: they are
+        // rebuilt on demand, from the models as they are now — where no
+        // item is an item any more.
+        assert_eq!(r.scores.hv_entries(), 0);
+        assert_eq!(candidates(&mut r, u, None), vec![]);
+        assert!(r.scores.hv_entries() > 0);
         // A further invalidation elsewhere is still picked up post-restore.
         shared.invalidate();
         assert_eq!(r.cached(u, v), Some(true));
@@ -2013,6 +2131,267 @@ mod tests {
             assert!(m.is_match(u, v), "{opts:?}");
             assert_eq!(m.lineage(u, v).map(<[PairKey]>::len), Some(66), "{opts:?}");
         }
+    }
+
+    /// The first bound written out from the definition: raw selections,
+    /// paths and a memo of its own — no plan, σ rows, masks or cover.
+    fn reference_bound(m: &mut Matcher<'_>, sorted_lists: bool, u: VertexId, v: VertexId) -> f32 {
+        let (gd, g, interner, p) = (m.gd(), m.g(), m.interner(), m.params());
+        let (su, sv) = (p.ranker.select(gd, u, p.thresholds.k), p.ranker.select(g, v, p.thresholds.k));
+        let mut scores = ScoreCache::new();
+        let mut bound = 0.0f32;
+        for (up, pu) in &su {
+            let mut head: Option<f32> = None;
+            for (vp, pv) in &sv {
+                if scores.hv(p, interner, gd.label(*up), g.label(*vp)) < p.thresholds.sigma {
+                    continue;
+                }
+                let hrho = scores.hrho(p, interner, pu, pv);
+                if head.is_none_or(|best| sorted_lists && hrho.total_cmp(&best).is_gt()) {
+                    head = Some(hrho);
+                }
+            }
+            bound += head.unwrap_or(0.0);
+        }
+        bound
+    }
+
+    /// Arms `m`'s bound for every non-leaf `u` and asks it about every
+    /// `v`: the ceiling is never below the float, the pool's verdict is
+    /// the float's, and — `by_definition` — the float is the one
+    /// [`reference_bound`] computes and [`Matcher::viable`] keeps exactly
+    /// the σ-compatible `v` it lets through. Returns how many pairs the
+    /// ceiling and the float cut.
+    fn check_bound(m: &mut Matcher<'_>, by_definition: bool) -> (usize, usize) {
+        let (gd, g, p) = (m.gd(), m.g(), m.params());
+        let Thresholds { sigma, delta, .. } = p.thresholds;
+        let (bounded, sorted) = (m.options.early_termination, m.options.sorted_lists);
+        let everything: Vec<VertexId> = g.vertices().collect();
+        let (mut by_cover, mut by_float) = (0, 0);
+        for u in gd.vertices() {
+            let compatible = |m: &mut Matcher<'_>, v: &VertexId| m.hv_pair(u, *v) >= sigma;
+            if gd.is_leaf(u) {
+                let want: Vec<VertexId> = everything.iter().copied().filter(|v| compatible(m, v)).collect();
+                assert_eq!(m.viable(u, everything.clone()), want, "leaf {u:?}");
+                continue;
+            }
+            let table = m.ecache();
+            let (mut fresh_u, mut fresh_v) = Default::default();
+            let su = m.plan(&table, false, u, &mut fresh_u).to_vec();
+            let mut want = Vec::new();
+            for &v in &everything {
+                let sv = m.plan(&table, true, v, &mut fresh_v).to_vec();
+                let (bound, mut sc) = m.bound_and_scoring();
+                bound.arm(&mut sc, &su);
+                let ceiling = bound.cover_bound(&mut sc, &sv);
+                let float = bound.max_sco(&mut sc, sorted, &sv);
+                assert_eq!(ceiling.is_none(), su.is_empty() || su.len() > 64, "({u:?}, {v:?})");
+                if let Some(ub) = ceiling {
+                    assert!(ub >= float, "({u:?}, {v:?}): ceiling {ub} under the float {float}");
+                    by_cover += usize::from(ub < delta);
+                }
+                by_float += usize::from(float < delta);
+                assert_eq!(bound.falls_short(&mut sc, sorted, &sv, delta), float < delta, "({u:?}, {v:?})");
+                if by_definition {
+                    let reference = reference_bound(m, sorted, u, v);
+                    assert_eq!(float.to_bits(), reference.to_bits(), "({u:?}, {v:?})");
+                }
+                if compatible(m, &v) && !(bounded && float < delta) {
+                    want.push(v);
+                }
+            }
+            let cuts = m.stats().early_terminations;
+            let kept = m.viable(u, everything.clone());
+            assert_eq!(kept, want, "{u:?} under {:?}", m.options);
+            let cut = everything.iter().filter(|v| compatible(m, v)).count() - kept.len();
+            assert_eq!(m.stats().early_terminations - cuts, cut as u64, "{u:?}");
+        }
+        (by_cover, by_float)
+    }
+
+    /// A 70-spoke hub on both sides: `k = 70` makes two mask words.
+    fn star_fixture() -> (Graph, Graph, Interner) {
+        let star = |mut b: GraphBuilder| {
+            let root = b.add_vertex("hub");
+            for i in 0..70 {
+                let leaf = b.add_vertex(&format!("spoke {i}"));
+                b.add_edge(root, leaf, "has");
+            }
+            b.build()
+        };
+        let (gd, i) = star(GraphBuilder::new());
+        let (g, interner) = star(GraphBuilder::with_interner(i));
+        (gd, g, interner)
+    }
+
+    /// Cover cut == exact cut, pair for pair and against the definition,
+    /// under every toggle: nested and cycle fixtures, and the star whose
+    /// 70 selected spokes are past what one mask word — so the ceiling —
+    /// covers.
+    #[test]
+    fn cover_cut_is_the_exact_cut_pair_for_pair() {
+        let (mut ceilings_cut, mut floats_cut) = (0, 0);
+        for ((gd, g, interner), p) in [
+            (nested_fixture(), params(0.9, 0.3, 3)),
+            (nested_fixture(), params(0.9, 0.05, 4)),
+            (cycle_fixture(), params(0.95, 0.3, 5)),
+            (star_fixture(), params(0.95, 1.0, 70)),
+        ] {
+            for opts in toggle_grid() {
+                let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts);
+                let (by_cover, by_float) = check_bound(&mut m, true);
+                assert!(by_cover <= by_float);
+                ceilings_cut += by_cover;
+                floats_cut += by_float;
+            }
+        }
+        assert!(ceilings_cut > 0, "no fixture let the ceiling decide");
+        assert!(floats_cut > ceilings_cut, "no fixture left a cut to the float");
+    }
+
+    /// Scores the models never produce — zero and negative `h_ρ` — written
+    /// into the dense table: a head may be negative, a `wmax` too, and
+    /// the ceiling still dominates sum by sum.
+    #[test]
+    fn cover_bound_holds_for_zero_and_negative_scores() {
+        let (gd, g, interner) = nested_fixture();
+        for delta in [0.0, 0.2] {
+            let p = params(0.9, delta, 4);
+            for opts in toggle_grid() {
+                let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts);
+                // Compile every plan, then overwrite every score.
+                let table = m.ecache();
+                let mut fresh = Default::default();
+                for (in_g, graph) in [(false, &gd), (true, &g)] {
+                    for x in graph.vertices() {
+                        m.plan(&table, in_g, x, &mut fresh);
+                    }
+                }
+                let seqs = table.seq_count() as u32;
+                assert!(seqs >= 6);
+                for a in 0..seqs {
+                    for b in 0..seqs {
+                        let s = [-1.0, -0.5, 0.0, 0.5, 1.0][((a * 7 + b * 13) % 5) as usize];
+                        m.scores.set_mrho_ids(a, b, s);
+                    }
+                }
+                let (by_cover, by_float) = check_bound(&mut m, false);
+                assert!(by_float > 0 && by_cover <= by_float, "{by_cover} of {by_float}");
+            }
+        }
+    }
+
+    /// A sequence interned mid-arm: the pool's second member is selected
+    /// for the first time while the bound is armed, and brings the
+    /// sequence that scores highest against `u′`'s. A `wmax` left at what
+    /// was interned when the arm began would sit below that head and cut
+    /// a pair the float keeps.
+    #[test]
+    fn wmax_is_refreshed_by_a_sequence_interned_mid_arm() {
+        let probe = params(0.9, 0.0, 2);
+        // Edge labels (e, a, b) with h_ρ(e, b) above h_ρ(e, e) and h_ρ(e, a).
+        let words = ["has", "owns", "made_in", "factorySite", "isIn", "color", "brand", "name"];
+        let (e, a, b, stale, head) = {
+            let mut builder = GraphBuilder::new();
+            let ids: Vec<LabelId> = words.iter().map(|w| builder.intern(w)).collect();
+            let (_, interner) = builder.build();
+            let mut scores = ScoreCache::new();
+            let mut h = |x: usize, y: usize| scores.mrho(&probe, &interner, &[ids[x]], &[ids[y]]) / 2.0;
+            let n = words.len();
+            let triples = (0..n).flat_map(|e| (0..n).flat_map(move |a| (0..n).map(move |b| (e, a, b))));
+            triples
+                .filter(|&(e, a, b)| e != a && e != b && a != b)
+                .map(|(e, a, b)| (e, a, b, h(e, e).max(h(e, a)), h(e, b)))
+                .find(|&(.., stale, head)| head > stale)
+                .expect("some edge label scores another above itself")
+        };
+        let mut builder = GraphBuilder::new();
+        let u = builder.add_vertex("hub");
+        let leaf = builder.add_vertex("x");
+        builder.add_edge(u, leaf, words[e]);
+        let (gd, i) = builder.build();
+        let mut builder = GraphBuilder::with_interner(i);
+        let mut hub = |edge: &str| {
+            let v = builder.add_vertex("hub");
+            let leaf = builder.add_vertex("x");
+            builder.add_edge(v, leaf, edge);
+            v
+        };
+        let (v1, v2) = (hub(words[a]), hub(words[b]));
+        let (g, interner) = builder.build();
+        let p = params(0.9, (stale + head) / 2.0, 2);
+        for opts in toggle_grid() {
+            let bounded = opts.early_termination;
+            let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts);
+            let kept = m.viable(u, vec![v1, v2]);
+            assert_eq!(kept, if bounded { vec![v2] } else { vec![v1, v2] });
+            if bounded {
+                assert_eq!(m.bound.wmax_seqs, 3, "e, a, then b: met mid-arm");
+            }
+            assert!(m.is_match(u, v2) && !m.is_match(u, v1));
+        }
+    }
+
+    /// A non-leaf `u` that selects nothing (its only edge is a loop) has
+    /// bound 0 with everything; a leaf `u` has no bound at all.
+    #[test]
+    fn empty_selections_and_leaves_take_the_exact_path() {
+        let mut b = GraphBuilder::new();
+        let lonely = b.add_vertex("item");
+        b.add_edge(lonely, lonely, "self");
+        let leaf = b.add_vertex("item");
+        let (gd, i) = b.build();
+        let mut b = GraphBuilder::with_interner(i);
+        let twin = b.add_vertex("item");
+        let colour = b.add_vertex("white");
+        b.add_edge(twin, colour, "color");
+        let bare = b.add_vertex("item");
+        let (g, interner) = b.build();
+        assert!(!gd.is_leaf(lonely) && gd.is_leaf(leaf));
+        for delta in [0.0, 0.2] {
+            let p = params(0.9, delta, 3);
+            for opts in toggle_grid() {
+                let cuts = opts.early_termination && delta > 0.0;
+                let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+                assert!(m.select_d(lonely).is_empty());
+                check_bound(&mut m, true);
+                let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts);
+                let kept = m.viable(lonely, vec![twin, colour, bare]);
+                assert_eq!(kept, if cuts { vec![] } else { vec![twin, bare] });
+                assert_eq!(m.stats().early_terminations, if cuts { 2 } else { 0 });
+                assert_eq!(m.viable(leaf, vec![twin, colour, bare]), vec![twin, bare]);
+                // Nothing selected, nothing to sum: no δ is reached, not even 0.
+                assert!(!m.is_match(lonely, twin));
+                assert!(m.is_match(leaf, bare));
+            }
+        }
+    }
+
+    /// The mask stamps wrap; the σ rows they are assembled from carry no
+    /// stamp and must come through: arms on both sides of the wrap decide
+    /// what a fresh matcher decides.
+    #[test]
+    fn epoch_wrap_keeps_masks_and_sigma_rows_apart() {
+        let (gd, g, interner) = nested_fixture();
+        let p = params(0.9, 0.3, 3);
+        let everything: Vec<VertexId> = g.vertices().collect();
+        let us: Vec<VertexId> = gd.vertices().filter(|&u| !gd.is_leaf(u)).collect();
+        let want: Vec<Vec<VertexId>> = us
+            .iter()
+            .map(|&u| Matcher::new(&gd, &g, &interner, &p).viable(u, everything.clone()))
+            .collect();
+        let mut m = Matcher::new(&gd, &g, &interner, &p);
+        // Warm rows and masks, with stamps from epochs 1..
+        for (&u, want) in us.iter().zip(&want) {
+            assert_eq!(&m.viable(u, everything.clone()), want);
+        }
+        let rows = m.scores.hv_entries();
+        m.bound.epoch = u32::MAX - 3;
+        for (&u, want) in us.iter().zip(&want).cycle().take(3 * us.len()) {
+            assert_eq!(&m.viable(u, everything.clone()), want, "{u:?} at epoch {}", m.bound.epoch);
+        }
+        assert!(m.bound.epoch < 3 * us.len() as u32, "the epoch wrapped");
+        assert_eq!(m.scores.hv_entries(), rows, "the wrap re-read no σ bit");
     }
 
     /// One score read path, whoever owns the handle behind it: a matcher

@@ -5,28 +5,35 @@
 //! label sequences. Scores are memoised in two tiers (DESIGN.md §4f):
 //! every [`crate::paramatch::Matcher`] owns a private
 //! [`crate::scores::ScoreCache`] that serves its hot loop with no lock,
-//! atomic or allocation, and a private miss reads through a
-//! [`SharedScores`] handle (cheaply cloneable, `Arc` inside): sharded
-//! `RwLock`-guarded tables keyed by interned [`LabelId`]s / label
-//! sequences over one shared interner. The handle keeps what is
-//! expensive and worth computing **once per process** however many
-//! matchers share it: label embeddings, path encodings and the scores
-//! derived from them.
+//! atomic or allocation — dense tables over the ids this layer hands
+//! out — and a private miss reads through a [`SharedScores`] handle
+//! (cheaply cloneable, `Arc` inside): sharded `RwLock`-guarded tables
+//! keyed by interned [`LabelId`]s / label sequences over one shared
+//! interner. The handle keeps what is expensive and worth computing
+//! **once per process** however many matchers share it: label
+//! embeddings, path encodings, the scores derived from them, and the
+//! top-k selections with their plans.
 //!
 //! - **Generation-based invalidation.** Fine-tuning (`refine`) mutates
 //!   the models, so memoised scores go stale. [`SharedScores::invalidate`]
 //!   clears every shard and bumps a monotonic generation counter;
 //!   matchers record the generation they last synced with and drop
-//!   their *derived* state (private pair memo, verdicts, selections)
-//!   when it moves. Checkpoint/restore rides on the same mechanism:
-//!   memo tables are never captured, restored matchers adopt the
-//!   current generation and rebuild derived state lazily.
-//! - **Selections.** `h_r` top-k is a pure function of (graph, ranker,
-//!   `k`), so the handle also owns one [`SelectionTable`] per generation:
-//!   dense per-vertex slots filled at most once and read lock-free by
-//!   every matcher on the handle (facade, pooled, BSP workers and their
-//!   candidate probes). [`SharedScores::invalidate`] drops it with the
-//!   memos.
+//!   their *derived* state (private memo with its σ rows and id-keyed
+//!   tables, verdicts, their hold on the selections) when it moves.
+//!   Checkpoint/restore rides on the same mechanism: memo tables are
+//!   never captured, restored matchers adopt the current generation and
+//!   rebuild derived state lazily.
+//! - **Selections and plans.** `h_r` top-k is a pure function of (graph,
+//!   ranker, `k`), so the handle also owns one [`SelectionTable`] per
+//!   generation: dense per-vertex slots filled at most once and read
+//!   lock-free by every matcher on the handle (facade, pooled, BSP
+//!   workers and their candidate probes). A fill compiles the selection
+//!   to its *plan*: per selected descendant the end vertex, its label,
+//!   the path's length and the [`SeqId`] of its edge-label sequence,
+//!   interned by the table — one id space per generation — so the first
+//!   `MaxSco` bound never touches a [`Path`].
+//!   [`SharedScores::invalidate`] drops the table, plans and ids
+//!   included, with the memos.
 //! - **Accounting.** The handle counts `M_v` embedding computations and
 //!   memo hits on both tiers ([`SharedScores::add_hits`]), mirrored by
 //!   [`SharedScores::with_obs_for_workers`] into the `scores.embed_calls`
@@ -44,7 +51,7 @@ use her_graph::hash::{FxHashMap, FxHasher};
 use her_graph::{Graph, Interner, LabelId, Path, VertexId};
 use her_sync::{rank, RwLock};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Default shard count: a small power of two comfortably above typical
@@ -75,6 +82,25 @@ struct Shard {
 /// One vertex's `h_r` top-k: selected descendants with their paths.
 pub type Selection = Arc<Vec<(VertexId, Path)>>;
 
+/// A [`SelectionTable`]'s id of one edge-label sequence: dense, handed
+/// out in interning order and never reused, so everything the first
+/// bound reads about a path is an array index.
+pub type SeqId = u32;
+
+/// One selected descendant compiled for the first `MaxSco` bound: what
+/// `h_v` and `h_ρ` need of `(x′, ρ)`, without the path.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanEntry {
+    /// The descendant `x′` the path ends in.
+    pub end: VertexId,
+    /// `L(x′)`.
+    pub label: LabelId,
+    /// The path's edge-label sequence.
+    pub seq: SeqId,
+    /// `len(ρ)`.
+    pub len: u32,
+}
+
 /// What a [`SelectionTable`] was built for. Graphs are immutable and
 /// carry no id, so one is identified by where it lives and how big it
 /// is; `k` is part of the key, so a table for one `k` is never read as
@@ -92,26 +118,120 @@ impl SelectionKey {
     }
 }
 
+/// The sequences a [`SelectionTable`] has interned, by id and by content.
+#[derive(Default)]
+struct Seqs {
+    ids: FxHashMap<Arc<[LabelId]>, SeqId>,
+    by_id: Vec<Arc<[LabelId]>>,
+}
+
+/// A filled slot: the selection, and the same selection as a plan.
+struct Slot {
+    selection: Selection,
+    plan: Box<[PlanEntry]>,
+}
+
 /// `ecache` for one `(G_D, G, k)`: a dense slot per vertex, filled at
 /// most once with `ranker.select(graph, x, k)` by whichever matcher
-/// asks first and read without a lock by all the others.
+/// asks first and read without a lock by all the others. A fill also
+/// compiles the selection to its *plan* — flat [`PlanEntry`]s over this
+/// table's [`SeqId`]s, one id space for every matcher on the handle —
+/// which is all candidate generation and `ParaMatch` read; the paths
+/// themselves are for witnesses and schema matching.
 pub struct SelectionTable {
     key: SelectionKey,
     /// Slots of `G_D` and of `G`, indexed by vertex id.
-    slots: [Box<[OnceLock<Selection>]>; 2],
+    slots: [Box<[OnceLock<Slot>]>; 2],
+    /// Taken when a slot is filled and when a matcher learns of new
+    /// ids, never per lookup and never together with a shard lock.
+    seqs: RwLock<Seqs>,
+    /// `seqs.by_id.len()`, readable without the lock. A reader that
+    /// sees a plan sees a count above every id in it.
+    seq_count: AtomicU32,
 }
 
 impl SelectionTable {
     fn new(key: SelectionKey) -> Self {
         let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
-        SelectionTable { key, slots: [slots(key.graphs[0].1), slots(key.graphs[1].1)] }
+        SelectionTable {
+            key,
+            slots: [slots(key.graphs[0].1), slots(key.graphs[1].1)],
+            seqs: RwLock::new(rank::SCORES_SHARD, Seqs::default()),
+            seq_count: AtomicU32::new(0),
+        }
+    }
+
+    fn slot(&self, in_g: bool, graph: &Graph, ranker: &TopKRanker, x: VertexId) -> &Slot {
+        self.slots[usize::from(in_g)][x.index()].get_or_init(|| {
+            let selection = ranker.select(graph, x, self.key.k);
+            let plan = self.compile(graph, &selection);
+            Slot { selection: Arc::new(selection), plan }
+        })
     }
 
     /// The selection of `x` in `graph` — `G` when `in_g`, else `G_D`;
     /// the graphs must be the ones this table was made for.
     pub fn select(&self, in_g: bool, graph: &Graph, ranker: &TopKRanker, x: VertexId) -> &Selection {
-        self.slots[usize::from(in_g)][x.index()]
-            .get_or_init(|| Arc::new(ranker.select(graph, x, self.key.k)))
+        &self.slot(in_g, graph, ranker, x).selection
+    }
+
+    /// The plan of `x`'s selection, entry for entry in selection order.
+    pub fn plan(&self, in_g: bool, graph: &Graph, ranker: &TopKRanker, x: VertexId) -> &[PlanEntry] {
+        &self.slot(in_g, graph, ranker, x).plan
+    }
+
+    /// Compiles a selection made in `graph`, interning its sequences.
+    /// [`Self::plan`] does this once per slot; a matcher running without
+    /// `ecache` does it for each selection it makes.
+    pub fn compile(&self, graph: &Graph, selection: &[(VertexId, Path)]) -> Box<[PlanEntry]> {
+        if selection.is_empty() {
+            return Box::default();
+        }
+        let known = self.seqs.read().expect("selection seqs poisoned");
+        let mut ids: Vec<Option<SeqId>> =
+            selection.iter().map(|(_, p)| known.ids.get(p.edge_labels()).copied()).collect();
+        drop(known);
+        if ids.contains(&None) {
+            let mut seqs = self.seqs.write().expect("selection seqs poisoned");
+            let unknown = ids.iter_mut().zip(selection).filter(|(id, _)| id.is_none());
+            for (id, (_, path)) in unknown {
+                // Looked up again: another filler may have interned it.
+                *id = Some(match seqs.ids.get(path.edge_labels()) {
+                    Some(&id) => id,
+                    None => {
+                        let seq: Arc<[LabelId]> = path.edge_labels().into();
+                        let id = SeqId::try_from(seqs.by_id.len()).expect("fewer than 2^32 sequences");
+                        seqs.by_id.push(Arc::clone(&seq));
+                        seqs.ids.insert(seq, id);
+                        id
+                    }
+                });
+            }
+            let count = u32::try_from(seqs.by_id.len()).expect("fewer than 2^32 sequences");
+            self.seq_count.store(count, Ordering::Release);
+        }
+        selection
+            .iter()
+            .zip(ids)
+            .map(|((end, path), seq)| PlanEntry {
+                end: *end,
+                label: graph.label(*end),
+                seq: seq.expect("interned above"),
+                len: path.len() as u32,
+            })
+            .collect()
+    }
+
+    /// How many sequences the table has interned: ids `0..count`.
+    pub fn seq_count(&self) -> usize {
+        self.seq_count.load(Ordering::Acquire) as usize
+    }
+
+    /// Appends the sequences with ids `known.len()..` to `known`, so a
+    /// matcher resolves ids from its own copy and not under this lock.
+    pub fn seqs_from(&self, known: &mut Vec<Arc<[LabelId]>>) {
+        let seqs = self.seqs.read().expect("selection seqs poisoned");
+        known.extend_from_slice(&seqs.by_id[known.len()..]);
     }
 
     /// Fills every non-leaf slot of both graphs on up to `threads`
@@ -120,14 +240,15 @@ impl SelectionTable {
         for (in_g, graph) in [(false, gd), (true, g)] {
             let inner: Vec<VertexId> = graph.vertices().filter(|&v| !graph.is_leaf(v)).collect();
             par_map(&inner, threads, |&v| {
-                self.select(in_g, graph, ranker, v);
+                self.slot(in_g, graph, ranker, v);
             });
         }
     }
 
     /// Every selection computed so far.
     pub fn filled(&self) -> impl Iterator<Item = &Selection> {
-        self.slots.iter().flat_map(|s| s.iter()).filter_map(OnceLock::get)
+        let slots = self.slots.iter().flat_map(|s| s.iter());
+        slots.filter_map(|s| s.get().map(|slot| &slot.selection))
     }
 }
 
@@ -264,10 +385,14 @@ impl SharedScores {
         }
     }
 
-    /// Credits `n` memo hits to this handle. Shared-table hits count one
+    /// Credits `n` memo hits to this handle. `shared_hits` means "a score
+    /// answered from a memo, on either tier": shared-table hits count one
     /// at a time; a [`crate::scores::ScoreCache`] tallies its private
-    /// hits locally and credits them in one batch per matcher entry
-    /// point, so the hot loop never touches this (contended) cache line.
+    /// hits — hash memo, dense `M_ρ` table and σ-row bits alike —
+    /// locally and credits them in one batch per matcher entry point, so
+    /// the hot loop never touches this (contended) cache line and the
+    /// counter stays comparable across the commits that moved answers
+    /// from one private structure to another.
     pub fn add_hits(&self, n: u64) {
         self.inner.shared_hits.fetch_add(n, Ordering::Relaxed);
         if let Some(c) = &self.inner.obs_hits {
@@ -724,6 +849,63 @@ mod tests {
         assert_eq!(shared.selections(&gd, &other, 3).select(true, &other, &p.ranker, root).len(), 3);
         shared.invalidate();
         assert_eq!(shared.selections(&gd, &other, 3).filled().count(), 0);
+    }
+
+    /// Two threads ask for one plan (run under Miri too): the slot is
+    /// compiled once, the plan is the selection entry for entry, and the
+    /// sequence ids are one dense space across both graphs of the table.
+    #[test]
+    fn plan_is_compiled_once_and_shares_sequence_ids() {
+        let mut b = GraphBuilder::new();
+        let root = b.add_vertex("item");
+        for (label, edge) in [("white", "color"), ("phylon foam", "material"), ("Germany", "made_in")] {
+            let leaf = b.add_vertex(label);
+            b.add_edge(root, leaf, edge);
+        }
+        let (g, _) = b.build();
+        let gd = g.clone();
+        let p = Params::untrained(32, 9);
+        let shared = SharedScores::new();
+        let table = shared.selections(&gd, &g, 3);
+        let barrier = std::sync::Barrier::new(2);
+        let plans: Vec<&[PlanEntry]> = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (table, barrier, g, p) = (&table, &barrier, &g, &p);
+                    s.spawn(move || {
+                        barrier.wait();
+                        table.plan(true, g, &p.ranker, root)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|h| h.join().expect("reader panicked")).collect()
+        });
+        assert!(std::ptr::eq(plans[0], plans[1]), "one compilation, read by both");
+        assert_eq!(table.filled().count(), 1);
+        let selection = table.select(true, &g, &p.ranker, root);
+        assert_eq!(selection.len(), 3);
+        for (e, (end, path)) in plans[0].iter().zip(selection.iter()) {
+            assert_eq!((e.end, e.label, e.len as usize), (*end, g.label(*end), path.len()));
+        }
+        let mut ids: Vec<SeqId> = plans[0].iter().map(|e| e.seq).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2], "dense, in interning order");
+        assert_eq!(table.seq_count(), 3);
+        // G_D's vertex selects the same sequences: the same ids, its own
+        // slot; a selection compiled outside the table gets them too.
+        let in_gd = table.plan(false, &gd, &p.ranker, root);
+        assert!(!std::ptr::eq(in_gd, plans[0]));
+        assert_eq!(in_gd, plans[0]);
+        assert_eq!(&*table.compile(&g, selection), plans[0]);
+        assert_eq!(table.seq_count(), 3);
+        let mut known = Vec::new();
+        table.seqs_from(&mut known);
+        for (e, (_, path)) in plans[0].iter().zip(selection.iter()) {
+            assert_eq!(&*known[e.seq as usize], path.edge_labels());
+        }
+        // A leaf selects nothing and interns nothing.
+        assert!(table.plan(true, &g, &p.ranker, VertexId(1)).is_empty());
+        assert_eq!(table.seq_count(), 3);
     }
 
     #[test]

@@ -262,10 +262,12 @@ proptest! {
     /// Candidate generation decides the first `MaxSco` bound, and nothing
     /// else: on random `(G_D, G)` with random σ, δ and `k`, under all
     /// eight toggle combinations, scanning and blocked. The reference is
-    /// written here from public pieces — pool, then `hv_pair ≥ σ`, then a
-    /// fresh matcher's `is_match` per pair — and (i) `candidates(u)` sits
-    /// between the reference matches of `u` and `C(u)`; (ii) every pair
-    /// it drops is a non-match; (iii) `apair`, `vpair`, `try_vpair` and
+    /// written here from public pieces — pool, then `hv_pair ≥ σ`, then
+    /// the bound from raw selections, paths and a memo of its own (no
+    /// plan, σ row or cover), then a fresh matcher's `is_match` per pair
+    /// — and (i) `candidates(u)` is exactly the members of `C(u)` whose
+    /// reference bound reaches δ, so it holds every reference match of
+    /// `u`; (ii) every pair it drops is a non-match; (iii) `apair`, `vpair`, `try_vpair` and
     /// 2-worker `pallmatch`, threaded and simulated, return exactly the
     /// reference match set; (iv) the index's query by vertex is its query
     /// by string, element for element.
@@ -307,6 +309,26 @@ proptest! {
                 ..Default::default()
             };
             let matcher = || Matcher::with_options(&gd, &g, &interner, &params, opts.clone());
+            // Fig. 4 line 12 from the definition: Σ over the selected u′ of
+            // the best σ-compatible h_ρ (the first, unsorted).
+            let reference_bound = |u: VertexId, v: VertexId| -> f32 {
+                let mut scores = her::core::scores::ScoreCache::new();
+                let (su, sv) = (params.ranker.select(&gd, u, k), params.ranker.select(&g, v, k));
+                let mut bound = 0.0f32;
+                for (up, pu) in &su {
+                    let mut head: Option<f32> = None;
+                    for (vp, pv) in &sv {
+                        if scores.hv(&params, &interner, gd.label(*up), g.label(*vp)) >= sigma {
+                            let hrho = scores.hrho(&params, &interner, pu, pv);
+                            if head.is_none_or(|best| opts.sorted_lists && hrho.total_cmp(&best).is_gt()) {
+                                head = Some(hrho);
+                            }
+                        }
+                    }
+                    bound += head.unwrap_or(0.0);
+                }
+                bound
+            };
             for index in [None, Some(&idx)] {
                 let mut reference: Vec<(VertexId, VertexId)> = Vec::new();
                 for &u in &roots {
@@ -322,8 +344,11 @@ proptest! {
                     let mut m = matcher();
                     let generated = candidates(&mut m, u, index);
                     // (i) and (ii)
+                    let bounded = opts.early_termination && !gd.is_leaf(u);
+                    let reaching: Vec<VertexId> =
+                        c.iter().copied().filter(|&v| !bounded || reference_bound(u, v) >= delta).collect();
+                    prop_assert_eq!(&generated, &reaching, "{:?}: not the bound's cut of C({:?})", opts, u);
                     prop_assert!(matches.iter().all(|v| generated.contains(v)), "{:?}: lost a match of {:?}", opts, u);
-                    prop_assert!(generated.iter().all(|v| c.contains(v)), "{:?}: outside C({:?})", opts, u);
                     for v in c.iter().filter(|v| !generated.contains(v)) {
                         prop_assert!(!matcher().is_match(u, *v), "{:?}: dropped the match ({:?}, {:?})", opts, u, v);
                     }
