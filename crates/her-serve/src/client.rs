@@ -1,5 +1,15 @@
-//! The linking service client: one request per connection, with
+//! The linking service client: one kept-alive connection, with
 //! idempotency-aware retry.
+//!
+//! Connections (DESIGN.md §4h): a request goes out on the connection the
+//! previous one was answered on, as long as that reply arrived whole —
+//! `Busy`, `Unavailable` and `Error` replies included, since the server
+//! answered and the frame stream is in step. Any transport failure drops
+//! the connection and the next attempt connects afresh, so a late or
+//! garbled reply is never read as the answer to a later request. Before
+//! a kept connection is reused, a non-blocking peek checks that the
+//! server has not closed it; one it closed (a restart, a shutdown) is
+//! replaced before the request is written.
 //!
 //! Retry policy (DESIGN.md §4h has the full matrix):
 //!
@@ -22,7 +32,7 @@
 //! drills reproduce byte-for-byte.
 
 use crate::proto::{self, read_message, Reply, Request, WireError};
-use std::io::Write;
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -98,9 +108,12 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A client for one server address. Connections are per-request: the
-/// protocol is strictly request/reply, and a fresh connection per
-/// attempt means a torn stream never poisons the next try.
+/// A client for one server address over one kept-alive connection. The
+/// connection is kept only after a whole, decodable reply; a timeout, a
+/// torn or corrupt frame, an undecodable reply or a failed write drops
+/// it, so a torn stream never poisons the next try. A connection the
+/// server has closed since its last reply is noticed by a non-blocking
+/// peek and replaced before the next request is written.
 pub struct Client {
     addr: String,
     /// Connect/read/write timeout per attempt.
@@ -108,6 +121,8 @@ pub struct Client {
     /// Retry schedule.
     pub retry: RetryPolicy,
     jitter: u64,
+    /// The connection the last whole reply arrived on.
+    conn: Option<TcpStream>,
 }
 
 impl Client {
@@ -119,6 +134,7 @@ impl Client {
             timeout: Duration::from_secs(5),
             retry,
             jitter: retry.seed | 1,
+            conn: None,
         }
     }
 
@@ -194,21 +210,42 @@ impl Client {
         }))
     }
 
-    /// One wire round trip on a fresh connection.
-    fn attempt(&self, req: &Request) -> Result<Reply, WireError> {
-        let stream = TcpStream::connect(&self.addr).map_err(WireError::Io)?;
+    /// One wire round trip: on the kept connection while the server has
+    /// not closed it, else on a fresh one. Every error path drops the
+    /// connection; only a whole, decodable reply puts it back.
+    fn attempt(&mut self, req: &Request) -> Result<Reply, WireError> {
+        let mut stream = match self.conn.take().filter(idle_and_open) {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(&self.addr).map_err(WireError::Io)?;
+                stream.set_nodelay(true).map_err(WireError::Io)?;
+                stream
+            }
+        };
         stream
             .set_read_timeout(Some(self.timeout))
             .map_err(WireError::Io)?;
         stream
             .set_write_timeout(Some(self.timeout))
             .map_err(WireError::Io)?;
-        let mut stream = stream;
         proto::write_message(&mut stream, &req.encode()).map_err(WireError::Io)?;
-        stream.flush().map_err(WireError::Io)?;
         let payload = read_message(&mut stream)?;
-        Reply::decode(&payload).map_err(|e| WireError::Corrupt(e.to_string()))
+        let reply = Reply::decode(&payload).map_err(|e| WireError::Corrupt(e.to_string()))?;
+        self.conn = Some(stream);
+        Ok(reply)
     }
+}
+
+/// True when the server has not closed `stream` since its last reply. No
+/// reply is owed on a kept connection, so a non-blocking peek must find
+/// nothing to read: end of stream, stray bytes or an error all mean the
+/// next request needs a fresh connection.
+fn idle_and_open(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let idle = matches!(stream.peek(&mut [0u8; 1]), Err(e) if e.kind() == ErrorKind::WouldBlock);
+    idle && stream.set_nonblocking(false).is_ok()
 }
 
 #[cfg(test)]
@@ -260,5 +297,66 @@ mod tests {
             start.elapsed() < Duration::from_secs(2),
             "mutation appears to have been retried"
         );
+    }
+
+    /// A reply that arrives after the client gave up on its request is
+    /// never read as the answer to the next one: the timed-out connection
+    /// is dropped and the next request goes out on a fresh connection.
+    #[test]
+    fn a_late_reply_is_never_read_as_the_next_requests_answer() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr").to_string();
+        let timeout = Duration::from_millis(200);
+        // The peer answers a Vpair with the tuple's row as its trace id:
+        // row 1 only after the client's timeout, but before a request
+        // sent at that timeout would itself time out.
+        let peer = std::thread::spawn(move || {
+            std::thread::scope(|scope| {
+                for stream in listener.incoming().take(2) {
+                    let mut stream = stream.expect("accept");
+                    scope.spawn(move || {
+                        while let Ok(payload) = read_message(&mut stream) {
+                            let Ok(Request::Vpair { tuple, .. }) = Request::decode(&payload) else {
+                                return;
+                            };
+                            if tuple.row == 1 {
+                                std::thread::sleep(timeout * 3 / 2);
+                            }
+                            let reply = Reply::Vpair {
+                                matches: Vec::new(),
+                                unresolved: Vec::new(),
+                                exhausted: None,
+                                trace_id: u64::from(tuple.row),
+                            };
+                            if proto::write_message(&mut stream, &reply.encode()).is_err() {
+                                return;
+                            }
+                        }
+                    });
+                }
+            });
+        });
+        let mut c = Client::new(addr).with_retry(RetryPolicy {
+            attempts: 1,
+            ..RetryPolicy::default()
+        });
+        c.timeout = timeout;
+        let vpair = |row| Request::Vpair {
+            tuple: her_rdb::TupleRef::new(0, row),
+            max_calls: 0,
+            deadline_ms: 0,
+        };
+        let err = c
+            .request(&vpair(1))
+            .expect_err("request 1 outlived the timeout");
+        assert!(matches!(err, ClientError::Unavailable(_)), "{err:?}");
+        match c.request(&vpair(2)).expect("request 2") {
+            Reply::Vpair { trace_id, .. } => {
+                assert_eq!(trace_id, 2, "request 2 was answered with request 1's reply")
+            }
+            other => panic!("unexpected reply: {other:?}"),
+        }
+        drop(c);
+        peer.join().expect("peer thread panicked");
     }
 }

@@ -15,9 +15,10 @@
 //!   through `DurableStreamLinker` before acknowledgement, snapshots are
 //!   cut on a cadence, and a restarted server resumes from its newest
 //!   valid snapshot plus the WAL suffix ([`server`]);
-//! * **idempotency-aware client retry** — jittered exponential backoff
-//!   that retries reads and shed requests but never blindly retries a
-//!   mutation whose reply was lost ([`client`]);
+//! * **a keep-alive client with idempotency-aware retry** — one kept
+//!   connection, dropped on any transport failure, and jittered
+//!   exponential backoff that retries reads and shed requests but never
+//!   blindly retries a mutation whose reply was lost ([`client`]);
 //! * **seeded connection faults** — a deterministic per-connection fault
 //!   plan (drop/delay/truncate/garble/kill) for drills proving the
 //!   service either answers correctly or fails taxonomized ([`fault`]);

@@ -834,6 +834,10 @@ fn read_exact_or_close(r: &mut impl Read, buf: &mut [u8]) -> Result<bool, WireEr
     Ok(true)
 }
 
+/// The most a frame buffer grows by before the bytes that fill it have
+/// arrived.
+const READ_CHUNK: usize = 64 * 1024;
+
 /// Reads one framed message, validating the checksum. A close at a frame
 /// boundary is [`WireError::Closed`]; mid-frame is [`WireError::Torn`]; a
 /// failed checksum or impossible length is [`WireError::Corrupt`].
@@ -846,10 +850,18 @@ pub fn read_message(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     if len > MAX_FRAME_LEN {
         return Err(WireError::Corrupt(format!("impossible frame length {len}")));
     }
-    let mut whole = vec![0u8; FRAME_HEADER_LEN + len];
-    whole[..FRAME_HEADER_LEN].copy_from_slice(&header);
-    if !read_exact_or_close(r, &mut whole[FRAME_HEADER_LEN..])? {
-        return Err(WireError::Torn);
+    // The length is the peer's claim: grow the buffer only as the body
+    // arrives, so a header promising `MAX_FRAME_LEN` and then stalling or
+    // closing costs one chunk, not the claim.
+    let total = FRAME_HEADER_LEN + len;
+    let mut whole = Vec::with_capacity(total.min(FRAME_HEADER_LEN + READ_CHUNK));
+    whole.extend_from_slice(&header);
+    while whole.len() < total {
+        let filled = whole.len();
+        whole.resize(filled + (total - filled).min(READ_CHUNK), 0);
+        if !read_exact_or_close(r, &mut whole[filled..])? {
+            return Err(WireError::Torn);
+        }
     }
     // Validate through the store's parser so the checksum/length story is
     // byte-for-byte the one snapshots and the WAL already test.

@@ -724,6 +724,13 @@ impl<'h> Handler<'_, 'h> {
         let mut faults_seen: u32 = 0;
 
         loop {
+            // Checked after every reply as well as every idle poll: a
+            // kept-alive peer may send its next request as soon as a
+            // reply lands and never go idle, and must not hold shutdown
+            // open.
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
             // Poll for the next message without consuming bytes, so an
             // idle timeout never desynchronizes the frame stream.
             let mut probe = [0u8; 1];
@@ -736,9 +743,6 @@ impl<'h> Handler<'_, 'h> {
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return;
-                    }
                     continue;
                 }
                 Err(_) => return,
@@ -872,10 +876,13 @@ impl<'h> Handler<'_, 'h> {
     /// produces its reply. The bool asks the caller to begin shutdown.
     fn answer(&self, req: Request, faults_seen: u32) -> (Reply, bool) {
         if self.shutdown.load(Ordering::Acquire) {
+            // Refused before any work, so retryable for every kind: the
+            // retry reconnects and finds a restarted server or none.
             return (
-                Reply::Error {
-                    code: code::UNAVAILABLE,
-                    message: "server is shutting down".to_owned(),
+                Reply::Unavailable {
+                    reason: "server is shutting down".to_owned(),
+                    retry_after_ms: 0,
+                    trace_id: 0,
                 },
                 false,
             );

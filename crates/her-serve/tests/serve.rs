@@ -11,7 +11,8 @@ use her_graph::{GraphBuilder, VertexId};
 use her_rdb::schema::{RelationSchema, Schema};
 use her_rdb::{Database, Tuple, TupleRef, Value};
 use her_serve::{Client, ClientError, FaultPlan, Reply, Request, RetryPolicy, ServeConfig, Server, DEFAULT_SESSION};
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// The stream-test system: 8 item tuples, one entity vertex each.
 fn system() -> (Her, Vec<TupleRef>, Vec<VertexId>) {
@@ -551,6 +552,174 @@ fn chaos_fault_plan_never_hangs_and_never_lies() {
         obs.registry.snapshot().counter("serve.faults_injected") > 0,
         "chaos plan injected nothing"
     );
+    let snap = obs.registry.snapshot();
+    // The fault plan is keyed by connection id, and a kept connection
+    // rolls successive fates of one stream instead of the first fate of
+    // many. Fewer connections than requests shows the connections were
+    // reused; more than one shows the faults forced reconnects. (Two
+    // connections are not the chaos client's: the closer's and the accept
+    // loop's wake-up.) A desynchronised frame stream would fail the
+    // per-tuple answer check above.
+    let (conns, reqs) = (
+        snap.counter("serve.connections").saturating_sub(2),
+        snap.counter("serve.requests"),
+    );
+    assert!(
+        1 < conns && conns < reqs,
+        "{conns} chaos-client connections for {reqs} requests"
+    );
+}
+
+/// Runs `f` while `server` serves `her`, then shuts it down — the panic
+/// handling of `with_server`, for a client that outlives the server.
+fn while_serving(her: &Her, server: Server, f: impl FnOnce()) {
+    let addr = server.local_addr().to_string();
+    std::thread::scope(|scope| {
+        let run = scope.spawn(|| server.run(her).expect("server run"));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let shut = Client::new(&addr).request(&Request::Shutdown);
+        run.join().expect("server thread panicked");
+        if let Err(p) = out {
+            std::panic::resume_unwind(p);
+        }
+        assert!(matches!(shut, Ok(Reply::ShuttingDown)), "{shut:?}");
+    });
+}
+
+/// One client keeps its connection across a server shutdown and a
+/// restart on the same port, twice. The connection the old server closed
+/// is replaced before the next request is written, so neither the read
+/// nor the mutation sent after a restart spends a retry (the policy
+/// allows none), and the mutation is applied exactly once.
+#[test]
+fn a_kept_connection_is_replaced_across_restarts_on_the_same_port() {
+    let (her, ts, _) = system();
+    let dir = tempdir("restart_same_port");
+    let mut cfg = ServeConfig {
+        wal: Some(dir.join("stream.wal")),
+        idle_poll_ms: 20,
+        ..Default::default()
+    };
+    let first = Server::bind(cfg.clone()).expect("bind");
+    cfg.addr = first.local_addr().to_string();
+    let mut client = Client::new(&cfg.addr).with_retry(RetryPolicy {
+        attempts: 1,
+        ..fast_retry()
+    });
+    while_serving(&her, first, || {
+        match client.request(&Request::StreamProcess {
+            tuple: ts[0],
+            session: DEFAULT_SESSION,
+        }) {
+            Ok(Reply::StreamApplied { ops_applied: 1, .. }) => {}
+            other => panic!("first stream op: {other:?}"),
+        }
+    });
+    let restarted = || Server::bind(cfg.clone()).expect("rebind the same port");
+    while_serving(&her, restarted(), || {
+        match client.request(&Request::Vpair {
+            tuple: ts[0],
+            max_calls: 0,
+            deadline_ms: 0,
+        }) {
+            Ok(Reply::Vpair { matches, .. }) => assert_eq!(matches, her.vpair(ts[0])),
+            other => panic!("read after a restart: {other:?}"),
+        }
+    });
+    while_serving(&her, restarted(), || {
+        match client.request(&Request::StreamProcess {
+            tuple: ts[1],
+            session: DEFAULT_SESSION,
+        }) {
+            Ok(Reply::StreamApplied { ops_applied: 2, .. }) => {}
+            other => panic!("stream op after a restart: {other:?}"),
+        }
+        match client.request(&Request::StreamMatches {
+            session: DEFAULT_SESSION,
+        }) {
+            Ok(Reply::StreamMatches {
+                matches,
+                ops_applied,
+            }) => {
+                assert_eq!(ops_applied, 2, "a stream op was lost or applied twice");
+                assert_eq!(matches, reference_prefixes(&her, &ts[..2])[2]);
+            }
+            other => panic!("stream matches: {other:?}"),
+        }
+    });
+}
+
+/// A kept-alive peer that never goes idle cannot hold shutdown open: its
+/// handler closes the connection after the reply in flight,
+/// `Server::run` returns within about two idle polls, and the busy
+/// client ends with a taxonomized `Unavailable`, not a hang.
+#[test]
+fn a_busy_keep_alive_peer_cannot_hold_shutdown_open() {
+    let (her, ts, _) = system();
+    let idle_poll = Duration::from_millis(100);
+    let server = Server::bind(ServeConfig {
+        idle_poll_ms: idle_poll.as_millis() as u64,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = server.local_addr().to_string();
+    let (her, ts, addr) = (&her, &ts, &addr);
+    let (started, busy_started) = std::sync::mpsc::channel::<()>();
+    let down = AtomicBool::new(false);
+    let down = &down;
+    std::thread::scope(|scope| {
+        let run = scope.spawn(move || {
+            server.run(her).expect("server run");
+            let stopped = Instant::now();
+            drop(server); // closes the listener: reconnects are refused
+            down.store(true, Ordering::Release);
+            stopped
+        });
+        let busy = scope.spawn(move || {
+            let mut client = Client::new(addr).with_retry(fast_retry());
+            let give_up = Instant::now() + Duration::from_secs(10);
+            let mut served = 0u64;
+            // Like a load generator it keeps sending whatever the replies
+            // say, until the server is gone.
+            loop {
+                let gone = down.load(Ordering::Acquire);
+                match client.request(&Request::Vpair {
+                    tuple: ts[0],
+                    max_calls: 0,
+                    deadline_ms: 0,
+                }) {
+                    Ok(Reply::Vpair { .. }) => served += 1,
+                    Ok(other) => panic!("unexpected reply: {other:?}"),
+                    Err(e) if gone => return (served, e),
+                    Err(_) => {}
+                }
+                if served == 1 {
+                    let _ = started.send(());
+                }
+                // A panic here drops the client, which ends what a server
+                // that only checks shutdown when idle never would.
+                assert!(
+                    Instant::now() < give_up,
+                    "shutdown never closed the busy connection"
+                );
+            }
+        });
+        // Err only if the busy client failed before its first reply; the
+        // assertions below then say so.
+        let _ = busy_started.recv();
+        let asked = Instant::now();
+        let shut = Client::new(addr).request(&Request::Shutdown);
+        let stopped = run.join().expect("server thread panicked");
+        let (served, err) = busy.join().expect("busy client panicked");
+        assert!(matches!(shut, Ok(Reply::ShuttingDown)), "{shut:?}");
+        assert!(served >= 1, "the busy client never got a reply: {err:?}");
+        assert!(
+            stopped - asked < 2 * idle_poll,
+            "Server::run took {:?} to stop",
+            stopped - asked
+        );
+        assert!(matches!(err, ClientError::Unavailable(_)), "{err:?}");
+    });
 }
 
 /// The introspection drill: traced requests reconstruct their span

@@ -227,6 +227,10 @@ fn degraded_server_rejects_writes_serves_reads_and_self_heals() {
         }
         let (_, applied) = matches_of(client);
         assert_eq!(applied, 3);
+        // The whole degrade → reject → heal arc ran over the one
+        // connection this client kept: an `Unavailable` refusal is a
+        // whole reply, so it never costs a reconnect.
+        assert_eq!(obs.registry.snapshot().counter("serve.connections"), 1);
     });
 
     // The lifecycle left its marks in the registry.
