@@ -8,8 +8,9 @@
 //! pairs; paths leading to clearly different values are non-matching.
 
 use crate::metrics::{confusion, Accuracy};
-use crate::paramatch::Matcher;
+use crate::paramatch::{Matcher, MatcherOptions};
 use crate::params::{Params, Thresholds};
+use crate::shared_scores::SharedScores;
 use her_embed::metric::LabeledPair;
 use her_graph::{Graph, Interner, VertexId};
 use rand::rngs::StdRng;
@@ -53,18 +54,42 @@ pub fn evaluate(
     params: &Params,
     pairs: &[Annotation],
 ) -> Accuracy {
-    let mut m = Matcher::new(gd, g, interner, params);
-    confusion(
-        pairs
-            .iter()
-            .map(|&(u, v, truth)| (m.is_match(u, v), truth)),
+    tally(Matcher::new(gd, g, interner, params), pairs)
+}
+
+/// [`evaluate`] through `shared`: the same confusion, bit for bit, with
+/// every score a previous evaluation on `shared` computed read back.
+fn evaluate_on(
+    gd: &Graph,
+    g: &Graph,
+    interner: &Interner,
+    params: &Params,
+    pairs: &[Annotation],
+    shared: &SharedScores,
+) -> Accuracy {
+    let options = MatcherOptions {
+        shared_scores: Some(shared.clone()),
+        ..MatcherOptions::default()
+    };
+    tally(
+        Matcher::with_options(gd, g, interner, params, options),
+        pairs,
     )
+}
+
+fn tally(mut m: Matcher<'_>, pairs: &[Annotation]) -> Accuracy {
+    confusion(pairs.iter().map(|&(u, v, truth)| (m.is_match(u, v), truth)))
 }
 
 /// Random search for thresholds maximising F-measure on `validation`.
 /// Returns the best thresholds and their F-measure. The incumbent
 /// `params.thresholds` participates as trial zero, so the result never
 /// regresses below the starting point.
+///
+/// `h_v` and `h_ρ` do not depend on the thresholds searched, nor an
+/// `h_r` selection on anything but `k`, so every trial reads them
+/// through one score layer and one copy of the models, both the
+/// search's own and dropped when it returns.
 pub fn random_search(
     gd: &Graph,
     g: &Graph,
@@ -73,17 +98,22 @@ pub fn random_search(
     validation: &[Annotation],
     space: &SearchSpace,
 ) -> (Thresholds, f64) {
+    let shared = SharedScores::new();
+    let mut trial = params.with_thresholds(params.thresholds);
+    let mut f_of = |t: Thresholds| {
+        trial.thresholds = t;
+        evaluate_on(gd, g, interner, &trial, validation, &shared).f_measure()
+    };
     let mut rng = StdRng::seed_from_u64(space.seed);
     let mut best = params.thresholds;
-    let mut best_f = evaluate(gd, g, interner, params, validation).f_measure();
+    let mut best_f = f_of(best);
     for _ in 0..space.trials {
         let t = Thresholds {
             sigma: rng.gen_range(space.sigma.0..=space.sigma.1),
             delta: rng.gen_range(space.delta.0..=space.delta.1),
             k: rng.gen_range(space.k.0..=space.k.1),
         };
-        let trial = params.with_thresholds(t);
-        let f = evaluate(gd, g, interner, &trial, validation).f_measure();
+        let f = f_of(t);
         if f > best_f {
             best_f = f;
             best = t;
@@ -114,8 +144,7 @@ pub fn random_search(
             candidates.push(Thresholds { k, ..best });
         }
         for t in candidates {
-            let trial = params.with_thresholds(t);
-            let f = evaluate(gd, g, interner, &trial, validation).f_measure();
+            let f = f_of(t);
             if f > best_f {
                 best_f = f;
                 best = t;
@@ -188,6 +217,7 @@ pub fn derive_path_pairs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::her::{Her, HerConfig};
     use her_graph::GraphBuilder;
 
     /// Twin item entities with one synonymous predicate.
@@ -275,5 +305,127 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), pairs.len());
+    }
+
+    /// The search as it stood before trials shared a score layer: a
+    /// fresh matcher, with its own scores and its own copy of the
+    /// models, per trial. Kept as the reference `random_search` must
+    /// reproduce.
+    fn random_search_reference(
+        gd: &Graph,
+        g: &Graph,
+        interner: &Interner,
+        params: &Params,
+        validation: &[Annotation],
+        space: &SearchSpace,
+    ) -> (Thresholds, f64) {
+        let mut rng = StdRng::seed_from_u64(space.seed);
+        let mut best = params.thresholds;
+        let mut best_f = evaluate(gd, g, interner, params, validation).f_measure();
+        for _ in 0..space.trials {
+            let t = Thresholds {
+                sigma: rng.gen_range(space.sigma.0..=space.sigma.1),
+                delta: rng.gen_range(space.delta.0..=space.delta.1),
+                k: rng.gen_range(space.k.0..=space.k.1),
+            };
+            let trial = params.with_thresholds(t);
+            let f = evaluate(gd, g, interner, &trial, validation).f_measure();
+            if f > best_f {
+                best_f = f;
+                best = t;
+            }
+        }
+        let mut improved = true;
+        let mut rounds = 0;
+        while improved && rounds < 3 {
+            improved = false;
+            rounds += 1;
+            let mut candidates = Vec::new();
+            for ds in [-0.05f32, 0.05] {
+                candidates.push(Thresholds {
+                    sigma: (best.sigma + ds).clamp(space.sigma.0, space.sigma.1),
+                    ..best
+                });
+            }
+            for dd in [-0.3f32, -0.15, 0.15, 0.3] {
+                candidates.push(Thresholds {
+                    delta: (best.delta + dd).max(space.delta.0),
+                    ..best
+                });
+            }
+            for dk in [-4i64, 4] {
+                let k = (best.k as i64 + dk).clamp(space.k.0 as i64, space.k.1 as i64) as usize;
+                candidates.push(Thresholds { k, ..best });
+            }
+            for t in candidates {
+                let trial = params.with_thresholds(t);
+                let f = evaluate(gd, g, interner, &trial, validation).f_measure();
+                if f > best_f {
+                    best_f = f;
+                    best = t;
+                    improved = true;
+                }
+            }
+        }
+        (best, best_f)
+    }
+
+    /// Every trial scored through one shared layer gets exactly the
+    /// confusion a fresh matcher gets, and the search as a whole returns
+    /// what the per-trial-matcher reference returns.
+    fn assert_shared_search_transparent(
+        gd: &Graph,
+        g: &Graph,
+        i: &Interner,
+        p: &Params,
+        ann: &[Annotation],
+    ) {
+        let space = SearchSpace::default();
+        let shared = SharedScores::new();
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..60 {
+            let t = Thresholds {
+                sigma: rng.gen_range(space.sigma.0..=space.sigma.1),
+                delta: rng.gen_range(space.delta.0..=space.delta.1),
+                k: rng.gen_range(space.k.0..=space.k.1),
+            };
+            let trial = p.with_thresholds(t);
+            let through_shared = evaluate_on(gd, g, i, &trial, ann, &shared);
+            let fresh = evaluate(gd, g, i, &trial, ann);
+            assert_eq!(through_shared, fresh, "{t:?}");
+            assert_eq!(
+                through_shared.f_measure().to_bits(),
+                fresh.f_measure().to_bits()
+            );
+        }
+        let (best, f) = random_search(gd, g, i, p, ann, &space);
+        let (want, want_f) = random_search_reference(gd, g, i, p, ann, &space);
+        let bits = |t: Thresholds, f: f64| (t.sigma.to_bits(), t.delta.to_bits(), t.k, f.to_bits());
+        assert_eq!(bits(best, f), bits(want, want_f));
+    }
+
+    #[test]
+    fn shared_search_layer_is_transparent_on_fixture() {
+        let (gd, g, i, ann, _) = fixture();
+        let p = Params::untrained(64, 31).with_thresholds(Thresholds::new(0.9, 0.01, 5));
+        assert_shared_search_transparent(&gd, &g, &i, &p, &ann);
+    }
+
+    #[test]
+    fn shared_search_layer_is_transparent_on_trained_dbpedia() {
+        let data = her_datagen::dbpedia::generate_sized(60, 29);
+        let (train, val, _) = data.split(29);
+        let cfg = HerConfig {
+            synonyms: data.synonyms.clone(),
+            ..HerConfig::default()
+        };
+        let mut her = Her::build(&data.db, data.g, data.interner, &cfg);
+        her.learn(&train, &val, &cfg, &SearchSpace::default());
+        let val: Vec<Annotation> = val
+            .iter()
+            .map(|&(t, v, m)| (her.cg.vertex_of(t), v, m))
+            .collect();
+        let (gd, i) = (&her.cg.graph, &her.cg.interner);
+        assert_shared_search_transparent(gd, &her.g, i, &her.params, &val);
     }
 }

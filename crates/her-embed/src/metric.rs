@@ -95,6 +95,13 @@ impl PathSimModel {
         if corpus.is_empty() {
             return;
         }
+        let examples = self.pretrain_examples(corpus, seed);
+        self.mlp.fit(&examples, epochs, 0.1, seed ^ 0x5eed);
+    }
+
+    /// [`Self::pretrain`]'s examples: each sequence against itself and
+    /// its prefix (positives) and against a random corpus sequence.
+    fn pretrain_examples(&self, corpus: &[Vec<String>], seed: u64) -> Vec<(Vec<f32>, f32)> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut examples: Vec<(Vec<f32>, f32)> = Vec::new();
         for seq in corpus {
@@ -111,21 +118,25 @@ impl PathSimModel {
                 examples.push((self.features(&v, &vo), 0.0));
             }
         }
-        self.mlp.fit(&examples, epochs, 0.1, seed ^ 0x5eed);
+        examples
     }
 
     /// Supervised training on annotated path pairs (§IV step 3). Returns
     /// the final mean loss.
     pub fn train(&mut self, pairs: &[LabeledPair], epochs: usize, seed: u64) -> f32 {
-        let examples: Vec<(Vec<f32>, f32)> = pairs
+        let examples = self.pair_examples(pairs);
+        self.mlp.fit(&examples, epochs, 0.2, seed)
+    }
+
+    fn pair_examples(&self, pairs: &[LabeledPair]) -> Vec<(Vec<f32>, f32)> {
+        pairs
             .iter()
             .map(|(s1, s2, m)| {
                 let v1 = self.encode(s1);
                 let v2 = self.encode(s2);
                 (self.features(&v1, &v2), if *m { 1.0 } else { 0.0 })
             })
-            .collect();
-        self.mlp.fit(&examples, epochs, 0.2, seed)
+            .collect()
     }
 
     /// One supervised fine-tuning step on a single annotated pair (used by
@@ -180,18 +191,19 @@ mod tests {
         v.iter().map(|s| (*s).to_owned()).collect()
     }
 
-    fn trained_model() -> PathSimModel {
-        let mut m = PathSimModel::new(64, 11);
-        let corpus: Vec<Vec<String>> = vec![
+    fn corpus() -> Vec<Vec<String>> {
+        vec![
             owned(&["factorySite", "isIn", "isIn"]),
             owned(&["brandName", "belongsTo"]),
             owned(&["hasColor"]),
             owned(&["soleMadeBy"]),
             owned(&["typeNo"]),
             owned(&["names"]),
-        ];
-        m.pretrain(&corpus, 30, 1);
-        let pairs: Vec<LabeledPair> = vec![
+        ]
+    }
+
+    fn pairs() -> Vec<LabeledPair> {
+        vec![
             (owned(&["made_in"]), owned(&["factorySite", "isIn", "isIn"]), true),
             (owned(&["country"]), owned(&["brandCountry"]), true),
             (owned(&["color"]), owned(&["hasColor"]), true),
@@ -202,9 +214,59 @@ mod tests {
             (owned(&["color"]), owned(&["typeNo"]), false),
             (owned(&["qty"]), owned(&["factorySite", "isIn", "isIn"]), false),
             (owned(&["material"]), owned(&["names"]), false),
-        ];
-        m.train(&pairs, 400, 2);
+        ]
+    }
+
+    fn trained_model() -> PathSimModel {
+        let mut m = PathSimModel::new(64, 11);
+        m.pretrain(&corpus(), 30, 1);
+        m.train(&pairs(), 400, 2);
         m
+    }
+
+    /// The input-major kernel trains `M_ρ` as the row-major oracle does:
+    /// after pre-training, supervised training and triplet fine-tuning,
+    /// every score is bit-identical.
+    #[test]
+    fn scores_match_row_major_oracle_after_training() {
+        let mut m = trained_model();
+        let mut oracle = crate::mlp::oracle::Mlp::new(&[4 * 64 + 2, 48, 24, 1], 11);
+        oracle.fit(&m.pretrain_examples(&corpus(), 1), 30, 0.1, 1 ^ 0x5eed);
+        oracle.fit(&m.pair_examples(&pairs()), 400, 0.2, 2);
+        let triplets = [
+            (
+                owned(&["made_in"]),
+                owned(&["factorySite", "isIn", "isIn"]),
+                owned(&["typeNo"]),
+            ),
+            (
+                owned(&["color"]),
+                owned(&["hasColor"]),
+                owned(&["soleMadeBy"]),
+            ),
+            (owned(&["qty"]), owned(&["names"]), owned(&["brandCountry"])),
+        ];
+        for _ in 0..20 {
+            for (anchor, pos, neg) in &triplets {
+                m.fine_tune_triplet(anchor, pos, neg, 0.3, 0.3);
+                let va = m.encode(anchor);
+                let fp = m.features(&va, &m.encode(pos));
+                let fn_ = m.features(&va, &m.encode(neg));
+                if 0.3 + oracle.predict(&fn_) - oracle.predict(&fp) > 0.0 {
+                    oracle.backward_from(&fp, -1.0, 0.3);
+                    oracle.backward_from(&fn_, 1.0, 0.3);
+                }
+            }
+        }
+        for (s1, s2, _) in pairs() {
+            let (v1, v2) = (m.encode(&s1), m.encode(&s2));
+            let want = oracle.predict(&m.features(&v1, &v2));
+            assert_eq!(
+                m.score_vecs(&v1, &v2).to_bits(),
+                want.to_bits(),
+                "{s1:?} vs {s2:?}"
+            );
+        }
     }
 
     #[test]
