@@ -10,12 +10,10 @@ impl Handler {
     }
 
     fn run_apair(&self, max_calls: u64, deadline: Option<Instant>) -> Reply {
-        let (matches, exhausted, stats, ticket) = self.her.try_apair_stats_pooled(
-            self.pool,
-            self.budget(max_calls, deadline),
-            CancelToken::new(),
-            self.ctx,
-        );
+        let ((matches, exhausted, stats), ticket) =
+            self.pool.run(self.budget(max_calls, deadline), CancelToken::new(), self.ctx, |m| {
+                self.her.apair_with(m)
+            });
         reply4(matches, exhausted, stats, ticket)
     }
 
@@ -24,7 +22,7 @@ impl Handler {
             budget: Budget::max_calls(10_000),
             ..Default::default()
         };
-        let (matches, exhausted) = self.her.try_apair(opts);
+        let (matches, exhausted, _) = self.her.try_apair_stats(opts);
         reply2(matches, exhausted)
     }
 }

@@ -9,7 +9,10 @@ impl Handler {
     }
 
     fn run_apair(&self) -> Reply {
-        let (matches, exhausted) = self.her.try_apair(Default::default());
+        let ((matches, exhausted, _), _) =
+            self.pool.run(Default::default(), CancelToken::new(), self.ctx, |m| {
+                self.her.apair_with(m)
+            });
         reply2(matches, exhausted)
     }
 

@@ -16,7 +16,7 @@ impl Handler {
     }
 
     pub fn unwaived(&self) {
-        let _ = self.m.try_apair(7, MatcherOptions::default());
+        let _ = self.m.try_apair_stats(MatcherOptions::default());
     }
 }
 
@@ -32,5 +32,5 @@ mod warm {
 // #[allow(her::budget_not_threaded)] — NOT adjacent: blank line below
 
 pub fn not_covered_by_distant_comment(m: &Matcher) {
-    let _ = m.try_apair(9, MatcherOptions::default());
+    let _ = m.try_apair_stats(MatcherOptions::default());
 }

@@ -310,6 +310,17 @@ mod tests {
         assert_eq!(rule_hits(&elsewhere, rules::BUDGET_NOT_THREADED).0, 0);
     }
 
+    /// The serving path's pooled shape, `pool.run(budget, cancel, ctx,
+    /// |m| her.<mode>_with(m, ..))`, is checked like a `try_` mode call.
+    #[test]
+    fn budget_rule_checks_the_pooled_shape() {
+        let pooled = |f: &Finding| f.rule == rules::BUDGET_NOT_THREADED && f.message.contains("calls `run`");
+        let ok = run("crates/her-serve/src/budget_ok.rs", "budget/ok.rs");
+        assert!(!ok.iter().any(pooled), "{ok:?}");
+        let bad = run("crates/her-serve/src/budget_bad.rs", "budget/violation.rs");
+        assert!(bad.iter().any(|f| pooled(f) && !f.waived), "{bad:?}");
+    }
+
     #[test]
     fn span_waiver_fixtures() {
         let f = run(

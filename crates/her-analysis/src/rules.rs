@@ -652,7 +652,8 @@ fn raw_fs_write(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Finding>) {
 }
 
 /// Rule 9 — `her::budget_not_threaded`: `her-serve` is the always-on
-/// path — a handler that reaches `Her::try_vpair` & friends with
+/// path — a handler that reaches `Her::try_vpair`, `Her::try_apair_stats`,
+/// `Her::matcher_with` or a pooled `pool.run(..)` with
 /// `MatcherOptions::default()` (or a bare `Budget::default()`-shaped
 /// value) runs unbounded matcher work under an admission slot, which is
 /// exactly the regression the admission controller exists to prevent.
@@ -662,21 +663,19 @@ fn raw_fs_write(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Finding>) {
 /// field access ending in `.budget`. Helper indirection inside her-serve
 /// is fine — the helper's own boundary call is checked instead. `matcher`
 /// and the non-`try_` modes are deliberately absent: they are the
-/// documented unbounded API. Scope: non-test function bodies under
+/// documented unbounded API; so are the `_with` mode bodies, which run
+/// on a matcher armed by their caller. Scope: non-test function bodies under
 /// `crates/her-serve/src/`.
 fn budget_not_threaded(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Finding>) {
     if !path.starts_with("crates/her-serve/src/") {
         return;
     }
-    const ENTRY_POINTS: &[&str] = &[
-        "try_vpair",
-        "try_vpair_pooled",
-        "try_apair",
-        "try_apair_stats",
-        "try_apair_stats_pooled",
-        "with_pooled_matcher",
-        "matcher_with",
-    ];
+    const ENTRY_POINTS: &[&str] = &["try_vpair", "try_apair_stats", "matcher_with"];
+    // A pooled run — `pool.run(budget, cancel, ctx, |m| her.<mode>_with(m, ..))`
+    // — arms the matcher the mode body runs on.
+    let pooled_run = |i: usize| {
+        toks[i].text == "run" && i >= 2 && toks[i - 1].text == "." && toks[i - 2].text.ends_with("pool")
+    };
     let is_budget_marker = |text: &str| {
         let lc = text.to_lowercase();
         lc.contains("budget") || lc.contains("deadline") || lc.contains("opts")
@@ -687,7 +686,7 @@ fn budget_not_threaded(path: &str, toks: &[Tok], ctx: &Ctx, out: &mut Vec<Findin
         let is_call = !ctx.in_tests[i]
             && !ctx.fn_name[i].is_empty()
             && t.kind == TokKind::Ident
-            && ENTRY_POINTS.contains(&t.text.as_str())
+            && (ENTRY_POINTS.contains(&t.text.as_str()) || pooled_run(i))
             && toks.get(i + 1).is_some_and(|n| n.text == "(");
         if !is_call {
             i += 1;

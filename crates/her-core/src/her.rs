@@ -12,8 +12,7 @@
 use crate::apair;
 use crate::index::InvertedIndex;
 use crate::learn::{self, Annotation, SearchSpace};
-use crate::paramatch::{Budget, CancelToken, ExhaustReason, MatchStats, Matcher, MatcherOptions};
-use crate::pool::MatcherPool;
+use crate::paramatch::{ExhaustReason, MatchStats, Matcher, MatcherOptions};
 use crate::params::{Params, Thresholds};
 use crate::refine::{refine_round, RefineConfig, RefineOutcome};
 use crate::schema_match::{schema_matches, SchemaMatch};
@@ -243,38 +242,43 @@ impl Her {
         )
     }
 
-    /// Mode SPair: does tuple `t` match vertex `v`? User-verified verdicts
-    /// take precedence over parametric simulation.
+    // The three modes each have one body running on a caller's matcher —
+    // fresh, reused, or checked out of a `MatcherPool` — that overlays
+    // user-verified verdicts (keeping the modes consistent after
+    // refinement) and reports the run's own `MatchStats`. The other
+    // mode methods are one-liners over a fresh matcher.
+
+    /// Mode SPair: does tuple `t` match vertex `v`?
     pub fn spair(&self, t: TupleRef, v: VertexId) -> bool {
-        if let Some(&verdict) = self.verified.get(&(t, v)) {
-            return verdict;
-        }
-        self.matcher().is_match(self.cg.vertex_of(t), v)
+        self.spair_with(&mut self.matcher(), t, v)
     }
 
-    /// SPair against a caller-provided matcher (amortises caches).
+    /// The SPair body: a user-verified verdict takes precedence over
+    /// parametric simulation on `m` (reuse `m` to amortise its caches).
     pub fn spair_with(&self, m: &mut Matcher<'_>, t: TupleRef, v: VertexId) -> bool {
-        m.is_match(self.cg.vertex_of(t), v)
+        match self.verified.get(&(t, v)) {
+            Some(&verdict) => verdict,
+            None => m.is_match(self.cg.vertex_of(t), v),
+        }
     }
 
-    /// Mode VPair: all vertices of `G` matching tuple `t` (user-verified
-    /// verdicts override parametric simulation, keeping all three modes
-    /// consistent after refinement).
+    /// Mode VPair: all vertices of `G` matching tuple `t`, ascending.
     pub fn vpair(&self, t: TupleRef) -> Vec<VertexId> {
-        let mut m = self.matcher();
-        let mut out = vpair::vpair(&mut m, self.cg.vertex_of(t), self.index.as_ref());
-        self.apply_verified(t, &mut out);
-        out
+        self.try_vpair(t, MatcherOptions::default()).matches
     }
 
-    /// Budget-aware VPair: runs under the supplied matcher options (budget
-    /// and/or cancellation token) and degrades gracefully — matches found
-    /// before exhaustion are returned with the undecided candidates listed,
-    /// instead of being discarded. Verified verdicts are overlaid on the
-    /// matched set as in [`Her::vpair`].
+    /// Budget-aware VPair under the supplied matcher options (budget
+    /// and/or cancellation token): matches found before exhaustion are
+    /// returned with the undecided candidates listed, not discarded.
     pub fn try_vpair(&self, t: TupleRef, options: MatcherOptions) -> vpair::VpairRun {
-        let mut m = self.matcher_with(options);
-        let mut run = vpair::try_vpair(&mut m, self.cg.vertex_of(t), self.index.as_ref());
+        self.vpair_with(&mut self.matcher_with(options), t)
+    }
+
+    /// The VPair body: [`vpair::try_vpair`] on `m` (whose stats are the
+    /// run's own) with tuple `t`'s verified verdicts overlaid on the
+    /// matched set.
+    pub fn vpair_with(&self, m: &mut Matcher<'_>, t: TupleRef) -> vpair::VpairRun {
+        let mut run = vpair::try_vpair(m, self.cg.vertex_of(t), self.index.as_ref());
         self.apply_verified(t, &mut run.matches);
         run
     }
@@ -306,25 +310,11 @@ impl Her {
 
     /// Mode APair: all matches across `D` and `G`.
     pub fn apair(&self) -> Vec<(TupleRef, VertexId)> {
-        self.try_apair(MatcherOptions::default()).0
+        self.try_apair_stats(MatcherOptions::default()).0
     }
 
-    /// Budget-aware APair: runs under the supplied matcher options and
-    /// degrades gracefully. The returned matches are *sound* — every pair
-    /// was fully verified before the budget tripped — and the second
-    /// component reports the exhaustion reason (`None` = complete run).
-    pub fn try_apair(
-        &self,
-        options: MatcherOptions,
-    ) -> (Vec<(TupleRef, VertexId)>, Option<ExhaustReason>) {
-        let (matches, exhausted, _) = self.try_apair_stats(options);
-        (matches, exhausted)
-    }
-
-    /// As [`Her::try_apair`], additionally reporting the run's
-    /// [`MatchStats`] (the matcher is fresh per call, so the stats are
-    /// this run's own spend — what the serving path's flight recorder
-    /// files per request).
+    /// Budget-aware APair under the supplied matcher options; see
+    /// [`Her::apair_with`].
     pub fn try_apair_stats(
         &self,
         options: MatcherOptions,
@@ -333,22 +323,35 @@ impl Her {
         Option<ExhaustReason>,
         MatchStats,
     ) {
-        let mut m = self.matcher_with(options);
+        self.apair_with(&mut self.matcher_with(options))
+    }
+
+    /// The APair body on `m`. The returned matches are *sound* — every
+    /// pair was fully verified before a budget tripped — and come with
+    /// the exhaustion reason (`None` = complete run) and the run's own
+    /// [`MatchStats`], diffed against `m`'s at entry (what the serving
+    /// path's flight recorder files per request).
+    pub fn apair_with(
+        &self,
+        m: &mut Matcher<'_>,
+    ) -> (
+        Vec<(TupleRef, VertexId)>,
+        Option<ExhaustReason>,
+        MatchStats,
+    ) {
+        let before = m.stats();
         let mut tuple_vertices: Vec<(TupleRef, VertexId)> =
             self.cg.tuple_vertices().collect();
         tuple_vertices.sort();
         let us: Vec<VertexId> = tuple_vertices.iter().map(|&(_, u)| u).collect();
-        let matched = apair::apair(&mut m, &us, self.index.as_ref());
-        let exhausted = m.exhausted();
+        let matched = apair::apair(m, &us, self.index.as_ref());
         let mut out: Vec<(TupleRef, VertexId)> = matched
             .into_iter()
             .filter_map(|(u, v)| self.cg.tuple_of(u).map(|t| (t, v)))
             .collect();
-        // Overlay user-verified verdicts (as in vpair/spair).
         self.overlay_verified_pairs(&mut out);
         out.sort();
-        let stats = m.stats();
-        (out, exhausted, stats)
+        (out, m.exhausted(), m.stats().delta_since(&before))
     }
 
     /// The APair-wide verified overlay: drops pairs verified false and
@@ -366,79 +369,6 @@ impl Her {
                 out.push(pair);
             }
         }
-    }
-
-    /// Runs `f` against a matcher checked out of `pool` — warm when one
-    /// is available, fresh otherwise — re-armed with this request's
-    /// budget, cancellation token and trace context. The ticket reports
-    /// whether the checkout hit and whether the warm matcher was
-    /// generation-stale. The serving path threads every pooled
-    /// vpair/apair request through here.
-    pub fn with_pooled_matcher<'h, R>(
-        &self,
-        pool: &MatcherPool<'h>,
-        budget: Budget,
-        cancel: CancelToken,
-        ctx: her_obs::ReqCtx,
-        f: impl FnOnce(&mut Matcher<'h>) -> R,
-    ) -> (R, crate::pool::PoolTicket) {
-        pool.run(budget, cancel, ctx, f)
-    }
-
-    /// [`Her::try_vpair`] through a [`MatcherPool`]: identical results
-    /// (pooling is pure reuse), but the returned [`MatchStats`] are this
-    /// request's *own* spend — a pooled matcher's counters are
-    /// cumulative, so the run is diffed against a checkout snapshot.
-    pub fn try_vpair_pooled(
-        &self,
-        pool: &MatcherPool<'_>,
-        t: TupleRef,
-        budget: Budget,
-        cancel: CancelToken,
-        ctx: her_obs::ReqCtx,
-    ) -> (vpair::VpairRun, crate::pool::PoolTicket) {
-        let (mut run, ticket) = pool.run(budget, cancel, ctx, |m| {
-            let before = m.stats();
-            let mut run = vpair::try_vpair(m, self.cg.vertex_of(t), self.index.as_ref());
-            run.stats = run.stats.delta_since(&before);
-            run
-        });
-        self.apply_verified(t, &mut run.matches);
-        (run, ticket)
-    }
-
-    /// [`Her::try_apair_stats`] through a [`MatcherPool`]; stats are the
-    /// request's own spend, as in [`Her::try_vpair_pooled`].
-    pub fn try_apair_stats_pooled(
-        &self,
-        pool: &MatcherPool<'_>,
-        budget: Budget,
-        cancel: CancelToken,
-        ctx: her_obs::ReqCtx,
-    ) -> (
-        Vec<(TupleRef, VertexId)>,
-        Option<ExhaustReason>,
-        MatchStats,
-        crate::pool::PoolTicket,
-    ) {
-        let ((matched, exhausted, stats), ticket) = pool.run(budget, cancel, ctx, |m| {
-            let before = m.stats();
-            let mut tuple_vertices: Vec<(TupleRef, VertexId)> =
-                self.cg.tuple_vertices().collect();
-            tuple_vertices.sort();
-            let us: Vec<VertexId> = tuple_vertices.iter().map(|&(_, u)| u).collect();
-            let matched = apair::apair(m, &us, self.index.as_ref());
-            let exhausted = m.exhausted();
-            let stats = m.stats().delta_since(&before);
-            (matched, exhausted, stats)
-        });
-        let mut out: Vec<(TupleRef, VertexId)> = matched
-            .into_iter()
-            .filter_map(|(u, v)| self.cg.tuple_of(u).map(|t| (t, v)))
-            .collect();
-        self.overlay_verified_pairs(&mut out);
-        out.sort();
-        (out, exhausted, stats, ticket)
     }
 
     /// Schema matches `Γ(u_t, v)` for a matched tuple/vertex pair.
@@ -487,11 +417,7 @@ impl Her {
         let mut m = self.matcher();
         let mut acc = crate::metrics::Accuracy::default();
         for &(t, v, truth) in pairs {
-            let predicted = match self.verified.get(&(t, v)) {
-                Some(&verdict) => verdict,
-                None => m.is_match(self.cg.vertex_of(t), v),
-            };
-            acc.record(predicted, truth);
+            acc.record(self.spair_with(&mut m, t, v), truth);
         }
         acc
     }
@@ -500,6 +426,7 @@ impl Her {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paramatch::CancelToken;
     use her_rdb::schema::{RelationSchema, Schema};
     use her_rdb::tuple::Tuple;
     use her_rdb::value::Value;
@@ -747,6 +674,26 @@ mod tests {
         assert!(all.contains(&(ts[0], vs[1])));
         assert!(!all.contains(&(ts[0], vs[0])));
         assert!(all.contains(&(ts[1], vs[1])));
+    }
+
+    /// Every mode honours a user verdict: once a matching pair is
+    /// verified false, the SPair body on a caller's (warm) matcher agrees
+    /// with `spair`, `vpair`, `apair` and `evaluate`.
+    #[test]
+    fn every_mode_honours_a_verified_non_match() {
+        let (db, g, i, ts, vs) = fixture();
+        let mut her = Her::build(&db, g, i, &cfg());
+        let (t, v) = (ts[0], vs[0]);
+        assert!(her.spair(t, v));
+        her.insert_verified(t, v, false);
+        let mut m = her.matcher();
+        assert!(m.is_match(her.cg.vertex_of(t), v), "simulation alone still matches");
+        assert!(!her.spair_with(&mut m, t, v));
+        assert!(!her.spair(t, v));
+        assert!(!her.vpair(t).contains(&v));
+        assert!(!her.apair().contains(&(t, v)));
+        let acc = her.evaluate(&[(t, v, true)]);
+        assert_eq!((acc.tp, acc.fn_), (0, 1));
     }
 
     #[test]

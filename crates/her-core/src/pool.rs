@@ -245,7 +245,7 @@ mod tests {
         let pool = MatcherPool::new(&her, 2);
         let expect = her.vpair(t);
         for round in 0..4 {
-            let (run, _) = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+            let (run, _) = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
             assert_eq!(run.matches, expect, "round {round} diverged");
             assert!(run.is_complete());
         }
@@ -262,9 +262,9 @@ mod tests {
     fn pooled_stats_are_per_request_deltas() {
         let (her, t) = fixture();
         let pool = MatcherPool::new(&her, 2);
-        let (first, _) = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+        let (first, _) = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
         assert!(first.stats.calls > 0, "cold run does real work");
-        let (second, _) = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+        let (second, _) = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
         assert_eq!(second.stats.calls, 0, "warm repeat is fully cached");
         assert!(second.stats.cache_hits > 0);
     }
@@ -277,7 +277,7 @@ mod tests {
         let expect = her.vpair(t);
         {
             let pool = MatcherPool::new(&her, 2);
-            let _ = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+            let _ = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
             assert_eq!(pool.rebuilds(), 0);
         }
         // Refine with a confirming annotation: results stay the same,
@@ -285,13 +285,13 @@ mod tests {
         let v = expect[0];
         her.refine(&[(t, v, true)], &crate::refine::RefineConfig::default());
         let pool = MatcherPool::new(&her, 2);
-        let _ = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
-        let (warm, _) = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+        let _ = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
+        let (warm, _) = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
         assert_eq!(warm.matches, her.vpair(t));
         // Invalidate between checkin and the next checkout: the pool
         // must see the stale generation and count the rebuild.
         her.shared_scores.as_ref().expect("shared on").invalidate();
-        let (after, _) = her.try_vpair_pooled(&pool, t, Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE);
+        let (after, _) = pool.run(Budget::unlimited(), CancelToken::new(), her_obs::ReqCtx::NONE, |m| her.vpair_with(m, t));
         assert_eq!(after.matches, her.vpair(t), "rebuild preserves results");
         assert_eq!(pool.rebuilds(), 1, "stale checkout counted as rebuild");
     }
@@ -329,12 +329,11 @@ mod tests {
             for _ in 0..THREADS {
                 s.spawn(|| {
                     for _ in 0..ROUNDS {
-                        let (run, ticket) = her.try_vpair_pooled(
-                            &pool,
-                            t,
+                        let (run, ticket) = pool.run(
                             Budget::unlimited(),
                             CancelToken::new(),
                             her_obs::ReqCtx::NONE,
+                            |m| her.vpair_with(m, t),
                         );
                         assert_eq!(run.matches, expect);
                         assert!(ticket.hit, "storm checkout missed a warm matcher");

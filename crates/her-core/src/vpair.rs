@@ -26,10 +26,9 @@ pub struct VpairRun {
     pub unresolved: Vec<VertexId>,
     /// Why the run stopped early, if it did.
     pub exhausted: Option<ExhaustReason>,
-    /// The matcher's counters at the end of the run: the run's own
-    /// spend for a fresh matcher, cumulative for a reused one (the
-    /// serving path diffs a pooled matcher's against a checkout
-    /// snapshot before filing them in the flight record).
+    /// The run's own spend: the matcher's counters diffed against its
+    /// counters at entry, so a reused or pooled matcher reports this
+    /// run alone (what the serving path files in the flight record).
     pub stats: MatchStats,
 }
 
@@ -65,7 +64,7 @@ pub fn vpair(
     u_t: VertexId,
     index: Option<&InvertedIndex>,
 ) -> Vec<VertexId> {
-    vpair_ordered(matcher, u_t, index, true)
+    try_vpair(matcher, u_t, index).matches
 }
 
 /// Budget-aware `VParaMatch`: like [`vpair`] but degrades gracefully when
@@ -80,6 +79,7 @@ pub fn try_vpair(
 ) -> VpairRun {
     let ctx = matcher.ctx();
     let span = matcher.obs().map(|o| o.tracer.span_ctx("vpair", ctx));
+    let before = matcher.stats();
     matcher.hold_telemetry();
     let mut cand = candidates(matcher, u_t, index);
     if let Some(obs) = matcher.obs() {
@@ -115,37 +115,8 @@ pub fn try_vpair(
         matches,
         unresolved,
         exhausted,
-        stats: matcher.stats(),
+        stats: matcher.stats().delta_since(&before),
     }
-}
-
-/// As [`vpair`], with the degree ordering of Fig. 5 line 4 toggleable
-/// (ablation: verifying cheap candidates first seeds the shared cache).
-pub fn vpair_ordered(
-    matcher: &mut Matcher<'_>,
-    u_t: VertexId,
-    index: Option<&InvertedIndex>,
-    degree_order: bool,
-) -> Vec<VertexId> {
-    matcher.hold_telemetry();
-    let mut cand = candidates(matcher, u_t, index);
-    if degree_order {
-        // Fig. 5 line 4: verify in increasing order of degree.
-        cand.sort_by_cached_key(|&v| (matcher.g().degree(v), v));
-    }
-    let mut out = Vec::new();
-    for v in cand {
-        let matched = match matcher.cached(u_t, v) {
-            Some(verdict) => verdict,
-            None => matcher.is_match(u_t, v),
-        };
-        if matched {
-            out.push(v);
-        }
-    }
-    out.sort();
-    matcher.publish_telemetry();
-    out
 }
 
 #[cfg(test)]
@@ -248,18 +219,6 @@ mod tests {
         let r2 = vpair(&mut m, u, None);
         assert_eq!(r1, r2);
         assert_eq!(m.stats().calls, calls, "second run must be fully cached");
-    }
-
-    #[test]
-    fn degree_order_does_not_change_results() {
-        let (gd, g, i, u, _) = fixture();
-        let p = params();
-        let mut m1 = Matcher::new(&gd, &g, &i, &p);
-        let mut m2 = Matcher::new(&gd, &g, &i, &p);
-        assert_eq!(
-            vpair_ordered(&mut m1, u, None, true),
-            vpair_ordered(&mut m2, u, None, false)
-        );
     }
 
     #[test]

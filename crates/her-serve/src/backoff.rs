@@ -34,13 +34,21 @@ pub fn capped_exp_ms(base_ms: u64, attempt: u32, cap_ms: u64) -> u64 {
 /// sleeps, which is what lets drills reproduce byte-for-byte.
 pub fn jittered_ms(base_ms: u64, attempt: u32, cap_ms: u64, state: &mut u64) -> u64 {
     let nominal = capped_exp_ms(base_ms, attempt, cap_ms);
+    let roll = xorshift64_star(state) % 101; // 0..=100
+    nominal.saturating_mul(50 + roll) / 100
+}
+
+/// One xorshift64* step: advances `state` and returns its scrambled
+/// output. The crate's one generator — [`jittered_ms`] and the fault
+/// plan's fate stream both draw from it; quality is irrelevant,
+/// reproducibility is the point.
+pub(crate) fn xorshift64_star(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
     x ^= x << 17;
     *state = x;
-    let roll = x.wrapping_mul(0x2545_f491_4f6c_dd1d) % 101; // 0..=100
-    nominal.saturating_mul(50 + roll) / 100
+    x.wrapping_mul(0x2545_f491_4f6c_dd1d)
 }
 
 /// [`capped_exp_ms`] plus stateless additive jitter in `[0, base_ms)`
@@ -106,6 +114,18 @@ mod tests {
         let mut state = 1;
         let _ = jittered_ms(u64::MAX, u32::MAX, u64::MAX, &mut state);
         let _ = jittered_ms(0, 0, 0, &mut state);
+    }
+
+    /// The first sleeps of a fixed stream, pinned: the xorshift64* step
+    /// is shared with the fault plan's fate stream, and neither may move.
+    #[test]
+    fn jitter_stream_is_pinned() {
+        let mut state = 0x5eed | 1;
+        let sleeps: Vec<u64> = (1..=16).map(|a| jittered_ms(20, a, 1_000, &mut state)).collect();
+        assert_eq!((sleeps, state), (
+                vec![25, 60, 113, 84, 227, 403, 740, 550, 1120, 880, 820, 540, 860, 550, 650, 1220],
+                0x5f4a_ad53_8542_55bd
+            ));
     }
 
     #[test]

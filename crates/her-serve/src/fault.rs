@@ -14,6 +14,7 @@
 //! sound-partial) answer or a taxonomized error — never a hang, never a
 //! silently wrong answer.
 
+use crate::backoff::xorshift64_star;
 use std::time::Duration;
 
 /// What happens to one server reply.
@@ -83,7 +84,7 @@ impl FaultPlan {
     pub fn conn(&self, conn_id: u64) -> ConnFaults {
         ConnFaults {
             plan: *self,
-            rng: Xorshift::new(mix(self.seed, conn_id)),
+            rng: mix(self.seed, conn_id) | 1,
         }
     }
 }
@@ -97,48 +98,30 @@ fn mix(seed: u64, conn: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Minimal deterministic generator (xorshift64*); quality is irrelevant,
-/// reproducibility is the point.
-struct Xorshift(u64);
-
-impl Xorshift {
-    fn new(seed: u64) -> Self {
-        Xorshift(seed | 1)
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn one_in(&mut self, n: u64) -> bool {
-        n != 0 && self.next().is_multiple_of(n)
-    }
-}
-
 /// Per-connection fate stream (see [`FaultPlan::conn`]).
 pub struct ConnFaults {
     plan: FaultPlan,
-    rng: Xorshift,
+    /// xorshift64* state, odd for a full-period stream.
+    rng: u64,
 }
 
 impl ConnFaults {
+    fn one_in(&mut self, n: u64) -> bool {
+        n != 0 && xorshift64_star(&mut self.rng).is_multiple_of(n)
+    }
+
     /// Rolls the fate of the next reply. Fault kinds are checked in a
     /// fixed order, so at most one fires per reply.
     pub fn fate(&mut self) -> ReplyFate {
-        if self.rng.one_in(self.plan.kill_1_in) {
+        if self.one_in(self.plan.kill_1_in) {
             ReplyFate::Kill
-        } else if self.rng.one_in(self.plan.truncate_1_in) {
+        } else if self.one_in(self.plan.truncate_1_in) {
             ReplyFate::Truncate
-        } else if self.rng.one_in(self.plan.garble_1_in) {
+        } else if self.one_in(self.plan.garble_1_in) {
             ReplyFate::Garble
-        } else if self.rng.one_in(self.plan.drop_1_in) {
+        } else if self.one_in(self.plan.drop_1_in) {
             ReplyFate::Drop
-        } else if self.rng.one_in(self.plan.delay_1_in) {
+        } else if self.one_in(self.plan.delay_1_in) {
             ReplyFate::Delay(Duration::from_millis(self.plan.delay_ms))
         } else {
             ReplyFate::Deliver
@@ -167,6 +150,20 @@ mod tests {
         };
         assert_eq!(fates(3), fates(3), "not reproducible");
         assert_ne!(fates(3), fates(4), "connections share a fate stream");
+    }
+
+    /// The first fates of one chaos connection, pinned: the generator
+    /// behind them is shared with the client's backoff jitter, and
+    /// neither stream may move.
+    #[test]
+    fn chaos_fates_are_pinned() {
+        let mut c = FaultPlan::chaos(42).conn(3);
+        let fates: Vec<String> = (0..16).map(|_| format!("{:?}", c.fate())).collect();
+        assert_eq!(
+            fates.join(" "),
+            "Delay(10ms) Deliver Deliver Deliver Delay(10ms) Deliver Deliver Kill \
+             Deliver Deliver Truncate Deliver Deliver Delay(10ms) Deliver Drop"
+        );
     }
 
     #[test]

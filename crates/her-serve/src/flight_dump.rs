@@ -23,9 +23,6 @@ use crate::proto::{get_events, get_flight_record, put_events, put_flight_record}
 /// v2 added `pool_wait_us` to the embedded flight record.
 pub const DUMP_VERSION: u32 = 2;
 
-/// The protocol version whose flight-record layout dump v2 embeds.
-const RECORD_LAYOUT: u32 = 4;
-
 /// One anomalous request, as persisted: the flight record plus every
 /// trace event that carried its id when the anomaly fired.
 #[derive(Clone, Debug, PartialEq)]
@@ -42,7 +39,7 @@ impl DumpRecord {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.put_u32(DUMP_VERSION);
-        put_flight_record(&mut e, &self.record, RECORD_LAYOUT);
+        put_flight_record(&mut e, &self.record);
         put_events(&mut e, &self.events);
         e.into_bytes()
     }
@@ -57,7 +54,7 @@ impl DumpRecord {
                 message: format!("flight dump v{version} (this build speaks v{DUMP_VERSION})"),
             });
         }
-        let record = get_flight_record(&mut d, RECORD_LAYOUT)?;
+        let record = get_flight_record(&mut d)?;
         let events = get_events(&mut d)?;
         d.finish()?;
         Ok(DumpRecord { record, events })
@@ -144,6 +141,16 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// FNV-1a of one dump's bytes, pinned so the on-disk layout cannot
+    /// drift while dumps written by earlier builds are still read.
+    #[test]
+    fn dump_bytes_are_pinned() {
+        let fnv = sample(7).encode().iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(fnv, 0x3b07_575a_165c_5692);
     }
 
     #[test]

@@ -62,6 +62,6 @@ pub use client::{Client, ClientError, RetryPolicy};
 pub use fault::{FaultPlan, ReplyFate};
 pub use flight_dump::DumpRecord;
 pub use health::{Health, State};
-pub use proto::{Reply, Request, WireError, DEFAULT_SESSION, MIN_PROTO_VERSION, PROTO_VERSION};
+pub use proto::{Reply, Request, WireError, DEFAULT_SESSION, PROTO_VERSION};
 pub use server::{ServeConfig, ServeError, Server};
 pub use watchdog::Watchdog;

@@ -26,9 +26,7 @@ use crate::admission::{Admission, Admit};
 use crate::fault::{ConnFaults, FaultPlan, ReplyFate};
 use crate::flight_dump::{self, DumpRecord};
 use crate::health::{Health, State as HealthState};
-use crate::proto::{
-    code, read_message, reason_tag, Reply, Request, WireError, MIN_PROTO_VERSION, PROTO_VERSION,
-};
+use crate::proto::{code, read_message, reason_tag, Reply, Request, WireError};
 use crate::watchdog::{self, Watchdog};
 use her_core::paramatch::MatchStats;
 use her_core::stream::{DurableStreamLinker, StreamCheckpoint};
@@ -102,8 +100,8 @@ pub struct ServeConfig {
     pub probe_interval_ms: u64,
     /// Live stream sessions allowed at once (each one a DurableStream-
     /// Linker with its own WAL and snapshot namespace). Session 0 is
-    /// the v3-compatible default; a v4 stream op naming a new session
-    /// opens it lazily until this limit, then gets a usage error.
+    /// the default; a stream op naming a new session opens it lazily
+    /// until this limit, then gets a usage error.
     pub max_sessions: usize,
 }
 
@@ -216,11 +214,10 @@ impl StreamSession<'_> {
 ///
 /// Session 0 journals to the base WAL path and snapshots to the base
 /// snapshot directory — exactly the layout single-session servers used,
-/// so an existing deployment (and every v3 client, which cannot name a
-/// session) warm-restarts onto session 0 unchanged. Session `N`
+/// so an existing deployment warm-restarts onto session 0 unchanged. Session `N`
 /// journals to `<wal>.s<N>` and snapshots under `<snapshot_dir>/s<N>`.
 /// Startup reopens session 0 plus every `<wal>.s<N>` found on disk
-/// (each with its own snapshot restore + WAL suffix replay); a v4
+/// (each with its own snapshot restore + WAL suffix replay); a
 /// stream op naming an unknown session opens it lazily until
 /// `max_sessions`, after which it gets a usage error.
 struct SessionRegistry<'h> {
@@ -747,9 +744,9 @@ impl<'h> Handler<'_, 'h> {
                 }
                 Err(_) => return,
             }
-            let (req, version) = match read_message(&mut stream) {
-                Ok(payload) => match Request::decode_versioned(&payload) {
-                    Ok(pair) => pair,
+            let req = match read_message(&mut stream) {
+                Ok(payload) => match Request::decode(&payload) {
+                    Ok(req) => req,
                     Err(e) => {
                         // A valid frame with a malformed request payload:
                         // the caller's bug, taxonomized as usage — and an
@@ -759,9 +756,7 @@ impl<'h> Handler<'_, 'h> {
                             code: code::USAGE,
                             message: format!("malformed request: {e}"),
                         };
-                        let v = peer_version_hint(&payload);
-                        match self.send(&mut stream, &mut faults, &mut faults_seen, &reply, v)
-                        {
+                        match self.send(&mut stream, &mut faults, &mut faults_seen, &reply) {
                             ConnAction::Continue => continue,
                             ConnAction::Close => return,
                         }
@@ -787,13 +782,7 @@ impl<'h> Handler<'_, 'h> {
                         code: code::DATA,
                         message: format!("corrupt request frame: {m}"),
                     };
-                    let _ = self.send(
-                        &mut stream,
-                        &mut faults,
-                        &mut faults_seen,
-                        &reply,
-                        PROTO_VERSION,
-                    );
+                    let _ = self.send(&mut stream, &mut faults, &mut faults_seen, &reply);
                     return;
                 }
             };
@@ -806,8 +795,7 @@ impl<'h> Handler<'_, 'h> {
                     .histogram("serve.request_us")
                     .observe(started.elapsed().as_micros() as u64);
             }
-            let action =
-                self.send(&mut stream, &mut faults, &mut faults_seen, &reply, version);
+            let action = self.send(&mut stream, &mut faults, &mut faults_seen, &reply);
             if shutting_down {
                 self.shutdown.store(true, Ordering::Release);
                 // Wake the blocking accept loop with a no-op connection.
@@ -1162,13 +1150,10 @@ impl<'h> Handler<'_, 'h> {
                 if !self.her.cg.has_tuple(tuple) {
                     return (unknown_tuple_reply(tuple), plain, None, 0);
                 }
-                let (run, ticket) = self.her.try_vpair_pooled(
-                    self.pool,
-                    tuple,
-                    self.budget(max_calls, deadline),
-                    CancelToken::new(),
-                    ctx,
-                );
+                let (run, ticket) =
+                    self.pool.run(self.budget(max_calls, deadline), CancelToken::new(), ctx, |m| {
+                        self.her.vpair_with(m, tuple)
+                    });
                 let reply = Reply::Vpair {
                     matches: run.matches,
                     unresolved: run.unresolved,
@@ -1178,12 +1163,10 @@ impl<'h> Handler<'_, 'h> {
                 (reply, run.stats, run.exhausted, ticket.wait_us)
             }
             Request::Apair { max_calls, .. } => {
-                let (matches, exhausted, stats, ticket) = self.her.try_apair_stats_pooled(
-                    self.pool,
-                    self.budget(max_calls, deadline),
-                    CancelToken::new(),
-                    ctx,
-                );
+                let ((matches, exhausted, stats), ticket) =
+                    self.pool.run(self.budget(max_calls, deadline), CancelToken::new(), ctx, |m| {
+                        self.her.apair_with(m)
+                    });
                 let reply = Reply::Apair {
                     matches,
                     exhausted,
@@ -1302,11 +1285,8 @@ impl<'h> Handler<'_, 'h> {
         faults: &mut Option<ConnFaults>,
         faults_seen: &mut u32,
         reply: &Reply,
-        version: u32,
     ) -> ConnAction {
-        // Echo the peer's protocol version so a v3 client never sees a
-        // v4 frame it cannot decode.
-        let payload = reply.encode_as(version);
+        let payload = reply.encode();
         let mut buf = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
         her_store::frame::write_frame(&mut buf, &payload);
 
@@ -1362,19 +1342,6 @@ fn op_of(req: &Request) -> u8 {
         | Request::StreamRetract { .. }
         | Request::StreamMatches { .. } => op::STREAM,
         _ => op::OTHER,
-    }
-}
-
-/// Best-effort protocol version of a frame that failed to decode: if
-/// the leading version word is one this build speaks, reply in it;
-/// otherwise fall back to the current version (a peer that garbled the
-/// version word cannot be helped either way).
-fn peer_version_hint(payload: &[u8]) -> u32 {
-    match payload.get(..4).map(|b| {
-        u32::from_le_bytes([b[0], b[1], b[2], b[3]])
-    }) {
-        Some(v) if (MIN_PROTO_VERSION..=PROTO_VERSION).contains(&v) => v,
-        _ => PROTO_VERSION,
     }
 }
 

@@ -1,12 +1,14 @@
 //! A frame header's length is the peer's claim, not a promise: reading a
 //! frame commits memory only as its body arrives. A header claiming
 //! 200 MiB followed by a close is a torn message, and reading it must not
-//! allocate anywhere near the claim first.
+//! allocate anywhere near the claim first. The same holds for the element
+//! counts inside a payload.
 //!
 //! Own test binary: the counting allocator below is process-global.
 
+use her_serve::flight_dump::DumpRecord;
 use her_serve::proto::{read_message, write_message};
-use her_serve::WireError;
+use her_serve::{Reply, WireError};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -82,4 +84,42 @@ fn a_frame_longer_than_one_read_chunk_reads_back_whole() {
         let got = read_message(&mut &wire[..cut]);
         assert!(matches!(got, Err(WireError::Torn)), "cut {cut}: {got:?}");
     }
+}
+
+/// `bytes` with the little-endian u32 at `at` — an element count —
+/// replaced by a claim of `u32::MAX` elements the payload cannot hold.
+fn claim_huge(mut bytes: Vec<u8>, at: usize) -> Vec<u8> {
+    bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    bytes
+}
+
+/// Every list decoder reserves for what the payload can hold, not for
+/// the count the peer claims: a short payload claiming `u32::MAX`
+/// elements fails to decode without a large allocation.
+#[test]
+fn a_huge_element_count_in_a_short_payload_is_refused_without_allocating_it() {
+    let empty_vpair = Reply::Vpair { matches: vec![], unresolved: vec![], exhausted: None, trace_id: 0 };
+    let empty_apair = Reply::Apair { matches: vec![], exhausted: None, trace_id: 0 };
+    let empty_trace = Reply::Trace { trace_id: 0, events: vec![] };
+    let empty_flight = Reply::Flight { records: vec![] };
+    let empty_dump = DumpRecord { record: Default::default(), events: vec![] };
+    // Each count sits after the version word and the reply tag (and a
+    // trace's id); a dump's event count is its last word.
+    let dump = empty_dump.encode();
+    let dump_events = dump.len() - 4;
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("vertices", claim_huge(empty_vpair.encode(), 5)),
+        ("pairs", claim_huge(empty_apair.encode(), 5)),
+        ("events", claim_huge(empty_trace.encode(), 13)),
+        ("flight records", claim_huge(empty_flight.encode(), 5)),
+    ];
+    for (what, bytes) in cases {
+        let (got, largest) = largest_allocation(|| Reply::decode(&bytes));
+        assert!(got.is_err(), "{what}: {got:?}");
+        assert!(largest < 64 << 10, "{what}: allocated {largest} bytes for a {}-byte payload", bytes.len());
+    }
+    let bytes = claim_huge(dump, dump_events);
+    let (got, largest) = largest_allocation(|| DumpRecord::decode(&bytes));
+    assert!(got.is_err(), "dump: {got:?}");
+    assert!(largest < 64 << 10, "dump: allocated {largest} bytes");
 }

@@ -936,3 +936,33 @@ fn tempdir(tag: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
+
+/// One wire version: a request frame whose version word is 3 is refused
+/// as a usage error naming v3, as any version this build does not speak
+/// is, and the connection stays usable — the same socket then answers
+/// `Ping`.
+#[test]
+fn a_v3_request_frame_is_a_usage_error_and_the_connection_survives() {
+    let (her, _, _) = system();
+    let server = Server::bind(ServeConfig::default()).expect("bind");
+    let addr = server.local_addr();
+    while_serving(&her, server, || {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut ask = |payload: &[u8]| {
+            her_serve::proto::write_message(&mut raw, payload).expect("send");
+            let reply = her_serve::proto::read_message(&mut raw).expect("reply");
+            Reply::decode(&reply).expect("decode reply")
+        };
+        let mut v3_ping = Request::Ping.encode();
+        v3_ping[..4].copy_from_slice(&3u32.to_le_bytes());
+        match ask(&v3_ping) {
+            Reply::Error { code, message } => {
+                assert_eq!(code, her_serve::proto::code::USAGE);
+                assert!(message.contains("v3"), "{message}");
+            }
+            other => panic!("a v3 frame was answered with {other:?}"),
+        }
+        assert_eq!(ask(&Request::Ping.encode()), Reply::Pong);
+    });
+}

@@ -70,7 +70,7 @@
 //!                        and exits 4)
 //!   --tuple N / --vertex N    operands for vpair / stream ops
 //!   --session N          stream session to address (default 0, the one
-//!                        v3 clients and plain --wal restarts share)
+//!                        plain --wal restarts resume)
 //!   --id N               trace id for --op trace
 //!   --format table|json  metrics rendering (default json; keys are
 //!                        deterministically sorted either way)
@@ -566,7 +566,7 @@ fn run(mode: &str, opts: &HashMap<String, String>) -> Result<(), HerError> {
                     }
                     return Ok(());
                 }
-                let (matches, exhausted) = system.try_apair(matcher_opts);
+                let (matches, exhausted, _) = system.try_apair_stats(matcher_opts);
                 for (t, v) in matches {
                     println!("{},{}", t.row, v);
                 }
@@ -812,7 +812,7 @@ fn query(opts: &HashMap<String, String>) -> Result<(), HerError> {
         Ok(TupleRef::new(0, numeric(&required(opts, key)?, key)?))
     };
     // Stream ops address a server-side session; 0 (the default) is the
-    // one v3 clients and `--wal` restarts share.
+    // one `--wal` restarts resume.
     let session: u64 = match opts.get("session") {
         Some(n) => numeric(n, "session")?,
         None => her::serve::DEFAULT_SESSION,
