@@ -30,16 +30,11 @@ impl<L: EntityLinker> Instrumented<L> {
         let name = inner.name();
         let r = &obs.registry;
         Self {
-            predictions: // #[allow(her::unregistered_metric)] — `baseline.<linker>.predictions` family, per-baseline cardinality
-            r.counter(&format!("baseline.{name}.predictions")),
-            vpair_runs: // #[allow(her::unregistered_metric)] — `baseline.<linker>.vpair_runs` family, per-baseline cardinality
-            r.counter(&format!("baseline.{name}.vpair_runs")),
-            trains: // #[allow(her::unregistered_metric)] — `baseline.<linker>.trains` family, per-baseline cardinality
-            r.counter(&format!("baseline.{name}.trains")),
-            predict_us: // #[allow(her::unregistered_metric)] — `baseline.<linker>.predict_us` family, per-baseline cardinality
-            r.histogram(&format!("baseline.{name}.predict_us")),
-            vpair_us: // #[allow(her::unregistered_metric)] — `baseline.<linker>.vpair_us` family, per-baseline cardinality
-            r.histogram(&format!("baseline.{name}.vpair_us")),
+            predictions: r.counter(&format!("baseline.{name}.predictions")),
+            vpair_runs: r.counter(&format!("baseline.{name}.vpair_runs")),
+            trains: r.counter(&format!("baseline.{name}.trains")),
+            predict_us: r.histogram(&format!("baseline.{name}.predict_us")),
+            vpair_us: r.histogram(&format!("baseline.{name}.vpair_us")),
             inner,
         }
     }

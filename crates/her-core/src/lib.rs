@@ -32,10 +32,11 @@
 //! - [`her`]: the [`her::Her`] facade exposing SPair, VPair and APair.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 /// Synchronization facade: ranked `Mutex`/`RwLock` wrappers with a runtime
 /// lock-order and re-entrancy tracker (see the `her-sync` crate). All
-/// workspace locks go through this module; `her-analysis` lints against raw
-/// `std::sync` lock use outside it.
+/// workspace locks go through this module; the workspace `clippy.toml`
+/// disallows the raw `std::sync` locks outside it.
 pub use her_sync as sync;
 
 pub mod apair;

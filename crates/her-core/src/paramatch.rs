@@ -107,6 +107,7 @@ impl Budget {
     }
 
     /// Sets the deadline to `now + d`.
+    #[allow(clippy::disallowed_methods, reason = "a deadline is wall-clock time; not a replay path")]
     pub fn with_deadline_in(self, d: Duration) -> Self {
         self.with_deadline(Instant::now() + d)
     }
@@ -1025,6 +1026,7 @@ impl<'a> Matcher<'a> {
     /// `calling` `ParaMatch`, else only what [`Matcher::interrupted`]
     /// names. Once a limit trips the exhaustion is sticky, so the whole
     /// recursion unwinds promptly and later queries short-circuit.
+    #[allow(clippy::disallowed_methods, reason = "checks the request deadline; not a replay path")]
     fn check_budget(&mut self, calling: bool) -> Result<(), ExhaustReason> {
         if let Some(reason) = self.exhausted {
             return Err(reason);

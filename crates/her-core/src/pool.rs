@@ -99,6 +99,7 @@ impl<'h> MatcherPool<'h> {
         cancel: CancelToken,
         ctx: her_obs::ReqCtx,
     ) -> (Matcher<'h>, PoolTicket) {
+        #[allow(clippy::disallowed_methods, reason = "times the pool wait; not a replay path")]
         let started = std::time::Instant::now();
         let wait_us = move || started.elapsed().as_micros() as u64;
         let warm = self.lock().pop();
@@ -111,7 +112,6 @@ impl<'h> MatcherPool<'h> {
                     .her
                     .shared_scores
                     .as_ref()
-                    // #[allow(her::generation_entry_point)] — observational read for the rebuild counter, not a reconciliation site
                     .is_some_and(|s| s.generation() != m.scores_generation());
                 m.rearm(budget, cancel, ctx);
                 self.hits.fetch_add(1, Ordering::Relaxed);

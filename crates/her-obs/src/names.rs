@@ -2,16 +2,15 @@
 //!
 //! Every counter, gauge and histogram name the workspace uses must
 //! appear here, and everything here must be used — both directions are
-//! machine-checked by `her-analysis` (`her::unregistered_metric`).
-//! Dashboards and `her-cli obs` can therefore enumerate the full
-//! telemetry surface without running every engine.
+//! checked by the root test `tests/source_rules.rs`. Dashboards and
+//! `her-cli obs` can therefore enumerate the full telemetry surface
+//! without running every engine.
 //!
 //! Names are `family.metric` (dots, snake_case). Dynamic families —
-//! names built with `format!` at runtime — are NOT listed (the call
-//! sites carry a waiver documenting the family instead), except where a
-//! family has a small closed set of members (e.g. `fault.*`), which is
-//! listed here with a reverse-check waiver because the members reach the
-//! registry through a forwarding helper rather than a literal sink call.
+//! names built with `format!` at runtime — are NOT listed (that test's
+//! exception table names the family instead), except where a family has
+//! a small closed set of members (e.g. `fault.*`), whose literals reach
+//! the registry through a forwarding helper.
 
 /// Every preregistered metric name, sorted.
 pub const ALL: &[&str] = &[
@@ -26,11 +25,8 @@ pub const ALL: &[&str] = &[
     "bsp.supersteps",
     "bsp.worker_deaths",
     // fault: injected-fault accounting, forwarded through fault_count()
-    // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
     "fault.delayed",
-    // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
     "fault.dropped",
-    // #[allow(her::unregistered_metric)] — reaches the registry via fault_count() forwarding
     "fault.duplicated",
     // flight: the per-request flight recorder
     "flight.anomalies",
@@ -94,14 +90,10 @@ pub const ALL: &[&str] = &[
     "store.corrupt_snapshots_skipped",
     // store.iofault: injected-fault accounting from FaultVfs + the
     // serve-side WAL retry counter
-    // #[allow(her::unregistered_metric)] — reaches the registry via FaultState::bump() forwarding
     "store.iofault.delays",
-    // #[allow(her::unregistered_metric)] — reaches the registry via FaultState::bump() forwarding
     "store.iofault.fsync_failures",
-    // #[allow(her::unregistered_metric)] — reaches the registry via FaultState::bump() forwarding
     "store.iofault.read_failures",
     "store.iofault.retries",
-    // #[allow(her::unregistered_metric)] — reaches the registry via FaultState::bump() forwarding
     "store.iofault.write_failures",
     "store.snapshot.bytes",
     "store.snapshot.write_us",

@@ -226,7 +226,6 @@ impl<'a> PWorker<'a> {
     /// Bumps a `fault.*` counter (injected-fault paths only, never hot).
     fn fault_count(&self, name: &str) {
         if let Some(obs) = self.matcher.obs() {
-            // #[allow(her::unregistered_metric)] — forwards literal `fault.*` names, all in names::ALL
             obs.registry.counter(name).inc();
         }
     }
@@ -236,6 +235,7 @@ impl<'a> PWorker<'a> {
     /// back off from), duplicates delivered twice, delays deferred one
     /// superstep. Exhausting the retries panics, escalating into the
     /// supervisor's recovery path.
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
     fn emit(&mut self, out: &mut Vec<(usize, Msg)>, dest: usize, msg: Msg) {
         if !self.fault.is_armed() {
             out.push((dest, msg));
@@ -311,6 +311,7 @@ impl<'a> PWorker<'a> {
 impl<'a> bsp::Worker for PWorker<'a> {
     type Msg = Msg;
 
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
     fn superstep(&mut self, inbox: Vec<Msg>) -> Vec<(usize, Msg)> {
         self.superstep_no += 1;
         self.fault.maybe_kill(self.id, self.superstep_no);
@@ -468,6 +469,7 @@ impl<'a> bsp::Supervisor<PWorker<'a>> for Recovery {
         injected
     }
 
+    #[deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
     fn reroute(&mut self, _workers: &mut [PWorker<'a>], msg: Msg) -> Option<(usize, Msg)> {
         match msg {
             // A request races the death notice: forward to the new owner.

@@ -349,10 +349,7 @@ mod tests {
     #[test]
     fn queue_grants_fifo() {
         let gate = Arc::new(Admission::new(1, 8, None));
-        let order = Arc::new(her_sync::Mutex::new(
-            her_sync::Rank::new(99, "test.order"),
-            Vec::new(),
-        ));
+        let order = Arc::new(her_sync::Mutex::new(her_sync::rank::OBS_TRACE, Vec::new()));
         let first = match gate.acquire(None) {
             Admit::Permit(p) => p,
             Admit::Busy { .. } => panic!("shed"),
@@ -389,10 +386,7 @@ mod tests {
     #[test]
     fn batched_release_preserves_fifo_order() {
         let gate = Arc::new(Admission::new(3, 8, None));
-        let order = Arc::new(her_sync::Mutex::new(
-            her_sync::Rank::new(99, "test.order"),
-            Vec::new(),
-        ));
+        let order = Arc::new(her_sync::Mutex::new(her_sync::rank::OBS_TRACE, Vec::new()));
         let held: Vec<Permit<'_>> = (0..3)
             .map(|_| match gate.acquire(None) {
                 Admit::Permit(p) => p,

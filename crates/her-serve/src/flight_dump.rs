@@ -69,7 +69,7 @@ pub fn append_dump(path: &Path, dump: &DumpRecord) -> std::io::Result<()> {
     write_frame(&mut buf, &dump.encode());
     // The dump file is a diagnostics sink outside the durability domain:
     // a failed dump is counted and dropped, never retried or trusted.
-    // #[allow(her::raw_fs_write)] — diagnostics-only sink, not storage-fault-domain state
+    #[allow(clippy::disallowed_methods, reason = "diagnostics-only sink, not storage-fault-domain state")]
     let mut f = OpenOptions::new().create(true).append(true).open(path)?;
     f.write_all(&buf)?;
     f.flush()

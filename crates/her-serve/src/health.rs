@@ -118,7 +118,6 @@ impl Health {
 
     fn counter(&self, name: &'static str) {
         if let Some(o) = self.obs.as_ref() {
-            // #[allow(her::unregistered_metric)] — callers pass `serve.health.*` literals, all in names::ALL
             o.registry.counter(name).inc();
         }
     }

@@ -46,6 +46,7 @@
 
 #![warn(missing_docs)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod admission;
 pub mod backoff;

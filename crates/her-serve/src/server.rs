@@ -699,7 +699,6 @@ enum ConnAction {
 impl<'h> Handler<'_, 'h> {
     fn counter(&self, name: &'static str) {
         if let Some(o) = self.obs {
-            // #[allow(her::unregistered_metric)] — callers pass `serve.*`/`store.iofault.*` literals, all in names::ALL
             o.registry.counter(name).inc();
         }
     }

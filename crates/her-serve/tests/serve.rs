@@ -3,6 +3,9 @@
 //! restart from snapshots + WAL (including torn tails and corrupt
 //! snapshots at every cut point), and the seeded connection fault drill.
 
+// Fixtures write and tear files directly, outside the Vfs facade.
+#![allow(clippy::disallowed_methods)]
+
 use her_core::learn::SearchSpace;
 use her_core::params::Thresholds;
 use her_core::stream::StreamLinker;

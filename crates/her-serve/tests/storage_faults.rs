@@ -83,6 +83,7 @@ fn with_server<R>(her: &Her, cfg: ServeConfig, f: impl FnOnce(&mut Client) -> R)
 }
 
 /// Fresh per-test scratch directory under the target tmpdir.
+#[allow(clippy::disallowed_methods, reason = "test scratch directory, outside the Vfs facade")]
 fn tempdir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("her_storage_faults_{tag}_{}", std::process::id()));
     if dir.exists() {

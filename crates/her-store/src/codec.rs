@@ -110,7 +110,8 @@ impl<'a> Dec<'a> {
             .filter(|&e| e <= self.buf.len())
             .ok_or_else(|| self.err(format!("{n} more bytes needed, payload exhausted")))?;
         // `get` instead of indexing: decode paths must be panic-free even
-        // if the bounds logic above ever regresses (her::panicking_decode).
+        // if the bounds logic above ever regresses (`clippy::indexing_slicing`
+        // is denied crate-wide).
         let out = self
             .buf
             .get(self.pos..end)

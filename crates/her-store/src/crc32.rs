@@ -5,6 +5,7 @@
 /// The 256-entry lookup table for the reflected IEEE polynomial.
 const TABLE: [u32; 256] = build_table();
 
+#[allow(clippy::indexing_slicing, reason = "`i < 256` indexes a 256-entry array")]
 const fn build_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -27,6 +28,7 @@ const fn build_table() -> [u32; 256] {
 
 /// CRC-32 of `data` (the common `cksum`-compatible variant: initial value
 /// `!0`, final complement).
+#[allow(clippy::indexing_slicing, reason = "a byte masked to `0xFF` indexes the 256-entry table")]
 pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in data {

@@ -56,8 +56,8 @@ pub enum FrameEvent<'a> {
 
 /// Reads a little-endian `u32` without panicking: decode paths must
 /// degrade to `TornTail`/`Corrupt` on any malformed input, never abort
-/// the process (`her-analysis` lints this file against `unwrap`/`expect`
-/// and direct slice indexing).
+/// the process (`her-store` denies `unwrap`/`expect` and direct slice
+/// indexing crate-wide).
 fn read_u32_le(buf: &[u8], pos: usize) -> Option<u32> {
     let bytes: [u8; 4] = buf.get(pos..pos.checked_add(4)?)?.try_into().ok()?;
     Some(u32::from_le_bytes(bytes))

@@ -35,7 +35,8 @@
 //! - All instrumentation is optional: pass an [`her_obs::Obs`] to count
 //!   `store.*` snapshots/bytes/replays, or `None` for zero overhead.
 
-#![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod codec;
 pub mod crc32;

@@ -1,9 +1,9 @@
 //! # her-sync — the workspace's synchronization facade
 //!
 //! Every lock in the HER workspace is taken through the [`Mutex`] and
-//! [`RwLock`] wrappers defined here (the `her::raw_sync_lock` lint in
-//! `her-analysis` enforces that no other crate touches
-//! `std::sync::{Mutex, RwLock}` directly). The wrappers mirror the std
+//! [`RwLock`] wrappers defined here (the workspace `clippy.toml` lists
+//! `std::sync::{Mutex, RwLock}` and their guards as `disallowed-types`
+//! everywhere but this crate). The wrappers mirror the std
 //! API — `lock()`, `read()`, `write()` return [`LockResult`]s with the
 //! usual poisoning semantics — plus one addition: every lock carries a
 //! [`Rank`] from the global [`rank`] table, and a runtime tracker
@@ -29,6 +29,10 @@
 //! DESIGN.md §4g for the rationale behind each rank.
 
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the facade wraps the std locks it bans everywhere else"
+)]
 
 use std::backtrace::Backtrace;
 use std::cell::RefCell;
@@ -40,26 +44,35 @@ use std::sync::{LockResult, PoisonError};
 pub const TRACKING: bool = cfg!(any(feature = "lock-order", debug_assertions));
 
 /// A lock's position in the workspace-wide acquisition order, plus the
-/// name violations are reported under. Declare ranks in [`rank`] only,
-/// so the total order stays reviewable in one place.
+/// name violations are reported under. Its fields and constructor are
+/// private, so [`rank`] is the only place a rank can be made and the
+/// total order stays reviewable in one place:
+///
+/// ```compile_fail,E0624
+/// let _ = her_sync::Rank::new(99, "elsewhere");
+/// ```
+///
+/// ```compile_fail,E0451
+/// let _ = her_sync::Rank { order: 99, name: "elsewhere" };
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Rank {
     /// Acquisition order: a thread may only acquire a lock whose order
     /// is strictly greater than every lock it already holds.
-    pub order: u32,
+    order: u32,
     /// Stable dotted name used in panic messages and DESIGN.md's table.
-    pub name: &'static str,
+    name: &'static str,
 }
 
 impl Rank {
-    pub const fn new(order: u32, name: &'static str) -> Self {
+    const fn new(order: u32, name: &'static str) -> Self {
         Rank { order, name }
     }
 }
 
 /// The workspace lock-rank table — the single source of truth for the
-/// acquisition order (outermost/lowest first). Keep in sync with the
-/// table in DESIGN.md §4g.
+/// acquisition order (outermost/lowest first), and the only place a
+/// [`Rank`] can be made. Keep in sync with the table in DESIGN.md §4g.
 pub mod rank {
     use super::Rank;
 

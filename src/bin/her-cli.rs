@@ -224,7 +224,6 @@ fn preregister(obs: &her::obs::Obs) {
         "scores.embed_calls",
         "scores.shared_hits",
     ] {
-        // #[allow(her::unregistered_metric)] — loop over the literal list above, all in names::ALL
         r.counter(name);
     }
     r.gauge("paramatch.cache_hit_rate");
