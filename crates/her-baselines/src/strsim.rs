@@ -95,11 +95,6 @@ impl TfIdf {
         Self { n, idf, docs }
     }
 
-    /// Number of fitted documents.
-    pub fn corpus_size(&self) -> usize {
-        self.docs
-    }
-
     /// The sparse TF-IDF vector of a document.
     pub fn vector(&self, doc: &str) -> FxHashMap<String, f64> {
         let mut tf: FxHashMap<String, f64> = FxHashMap::default();

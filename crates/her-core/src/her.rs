@@ -227,8 +227,9 @@ impl Her {
         self.matcher_with(MatcherOptions::default())
     }
 
-    /// A matcher with ablation toggles. The facade's [`SharedScores`]
-    /// handle is injected unless the options already carry one.
+    /// A matcher with explicit [`MatcherOptions`]. The facade's
+    /// [`SharedScores`] handle is injected unless the options already
+    /// carry one.
     pub fn matcher_with(&self, mut options: MatcherOptions) -> Matcher<'_> {
         if options.shared_scores.is_none() {
             options.shared_scores = self.shared_scores.clone();

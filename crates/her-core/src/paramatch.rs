@@ -121,10 +121,6 @@ impl Budget {
         self.max_cache_entries = Some(n);
         self
     }
-
-    pub fn is_unlimited(&self) -> bool {
-        self.max_calls.is_none() && self.deadline.is_none() && self.max_cache_entries.is_none()
-    }
 }
 
 /// Shared cooperative cancellation flag. Cloning yields another handle to
@@ -148,7 +144,7 @@ impl CancelToken {
     }
 }
 
-/// Counters exposed for the efficiency experiments and ablations.
+/// Counters exposed for the efficiency experiments.
 ///
 /// Every field is monotonically non-decreasing over a matcher's
 /// lifetime (nothing resets them, not even [`Matcher::invalidate`] or
@@ -240,18 +236,15 @@ impl Probes {
     }
 }
 
-/// Feature toggles for the ablation benchmarks (DESIGN.md §6) plus
-/// resource governance. The toggles preserve correctness and only change
-/// performance; the budget/cancellation fields bound how much work a run
-/// may do before reporting [`Outcome::Exhausted`].
+/// How a matcher runs: one pruning toggle (DESIGN.md §6), resource
+/// governance, and the handles it shares with other matchers. The
+/// budget/cancellation fields bound how much work a run may do before
+/// reporting [`Outcome::Exhausted`].
 #[derive(Clone, Debug)]
 pub struct MatcherOptions {
-    /// Use the `MaxSco` early-termination bound (Fig. 4 lines 12-14, 25-27).
+    /// Use the `MaxSco` early-termination bound (Fig. 4 lines 12-14,
+    /// 25-27). A pure pruning: off, every verdict is the same.
     pub early_termination: bool,
-    /// Memoise top-k descendant selections in `ecache` (lines 6-10).
-    pub use_ecache: bool,
-    /// Sort candidate lists by descending `h_ρ` (line 11).
-    pub sorted_lists: bool,
     /// Resource limits (unlimited by default).
     pub budget: Budget,
     /// Shared cooperative cancellation flag.
@@ -282,8 +275,6 @@ impl Default for MatcherOptions {
     fn default() -> Self {
         Self {
             early_termination: true,
-            use_ecache: true,
-            sorted_lists: true,
             budget: Budget::default(),
             cancel: CancelToken::new(),
             obs: None,
@@ -405,8 +396,8 @@ impl FirstBound {
     /// order. `max_sco` sums, in the same order, the head of every `u′`
     /// that has one — exactly the covered ones — and 0, which changes no
     /// float, for the rest; a head is one of the `h_ρ` its `wmax` is the
-    /// largest of (also when negative, also unsorted); and rounded `f32`
-    /// addition is monotone in each argument. So `ub ≥ max_sco` term by
+    /// largest of (also when negative); and rounded `f32` addition is
+    /// monotone in each argument. So `ub ≥ max_sco` term by
     /// term, and `ub < δ` settles `v`. `None` past one mask word, or
     /// with nothing selected: ask `max_sco`.
     fn cover_bound(&mut self, sc: &mut Scoring<'_>, sv: &[PlanEntry]) -> Option<f32> {
@@ -442,16 +433,15 @@ impl FirstBound {
     /// short of `delta` — by its ceiling when that can tell, else by the
     /// float. (One pair at a time asks the float: a ceiling costs `wmax`
     /// its scores up front and pays over a pool.)
-    fn falls_short(&mut self, sc: &mut Scoring<'_>, sorted_lists: bool, sv: &[PlanEntry], delta: f32) -> bool {
-        self.cover_bound(sc, sv).is_some_and(|ub| ub < delta) || self.max_sco(sc, sorted_lists, sv) < delta
+    fn falls_short(&mut self, sc: &mut Scoring<'_>, sv: &[PlanEntry], delta: f32) -> bool {
+        self.cover_bound(sc, sv).is_some_and(|ub| ub < delta) || self.max_sco(sc, sv) < delta
     }
 
     /// The bound of `(u, v)` for the armed `u` and `sv`, the plan of
-    /// `v`: per `u′` the best `h_ρ` over σ-compatible `v′` when lists
-    /// are sorted, the first in selection order otherwise, summed in
+    /// `v`: per `u′` the best `h_ρ` over σ-compatible `v′`, summed in
     /// list order — the float [`Matcher::matching_stage`] derives from
-    /// the lists it builds.
-    fn max_sco(&mut self, sc: &mut Scoring<'_>, sorted_lists: bool, sv: &[PlanEntry]) -> f32 {
+    /// the sorted lists it builds.
+    fn max_sco(&mut self, sc: &mut Scoring<'_>, sv: &[PlanEntry]) -> f32 {
         self.heads.clear();
         self.heads.resize(self.su.len(), None);
         for e in sv {
@@ -461,9 +451,6 @@ impl FirstBound {
                 while bits != 0 {
                     let i = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if !sorted_lists && self.heads[i].is_some() {
-                        continue;
-                    }
                     let ue = self.su[i];
                     let hrho =
                         sc.scores.hrho_ids(sc.params, sc.interner, (ue.seq, ue.len), (e.seq, e.len));
@@ -559,7 +546,7 @@ impl<'a> Matcher<'a> {
         Self::with_options(gd, g, interner, params, MatcherOptions::default())
     }
 
-    /// Creates a matcher with explicit feature toggles (ablations).
+    /// Creates a matcher with explicit [`MatcherOptions`].
     pub fn with_options(
         gd: &'a Graph,
         g: &'a Graph,
@@ -571,7 +558,7 @@ impl<'a> Matcher<'a> {
         let shared = match (&options.shared_scores, &options.obs) {
             (Some(shared), _) => shared.clone(),
             // An own handle reports into the same `scores.*` counters
-            // a shared one would, so ablations compare directly.
+            // a shared one would, so the two compare directly.
             (None, Some(obs)) => SharedScores::with_obs_for_workers(obs, 1),
             (None, None) => SharedScores::new(),
         };
@@ -887,31 +874,16 @@ impl<'a> Matcher<'a> {
     /// the count does not depend on who else warmed the shared table.
     fn select(&mut self, in_g: bool, x: VertexId) -> Selection {
         let graph = if in_g { self.g } else { self.gd };
-        let (ranker, k) = (&self.params.ranker, self.params.thresholds.k);
-        if !self.options.use_ecache {
-            return Rc::new(ranker.select(graph, x, k));
-        }
         self.stats.ecache_hits += u64::from(self.seen[usize::from(in_g)].replace(x));
-        Rc::clone(self.ecache().select(in_g, graph, ranker, x))
+        Rc::clone(self.ecache().select(in_g, graph, &self.params.ranker, x))
     }
 
-    /// [`Matcher::select`] as a plan of `table`, which is `ecache`:
-    /// borrowed from it, or compiled into `fresh` with `use_ecache` off.
-    fn plan<'t>(
-        &mut self,
-        table: &'t SelectionTable,
-        in_g: bool,
-        x: VertexId,
-        fresh: &'t mut Box<[PlanEntry]>,
-    ) -> &'t [PlanEntry] {
+    /// [`Matcher::select`] as a plan borrowed from `table`, which is
+    /// `ecache`.
+    fn plan<'t>(&mut self, table: &'t SelectionTable, in_g: bool, x: VertexId) -> &'t [PlanEntry] {
         let graph = if in_g { self.g } else { self.gd };
-        let (ranker, k) = (&self.params.ranker, self.params.thresholds.k);
-        if !self.options.use_ecache {
-            *fresh = table.compile(graph, &ranker.select(graph, x, k));
-            return fresh;
-        }
         self.stats.ecache_hits += u64::from(self.seen[usize::from(in_g)].replace(x));
-        table.plan(in_g, graph, ranker, x)
+        table.plan(in_g, graph, &self.params.ranker, x)
     }
 
     /// The selection table of the score handle's current generation.
@@ -1111,16 +1083,15 @@ impl<'a> Matcher<'a> {
             }
         }
         let table = self.ecache();
-        let (mut fresh_u, mut fresh_v) = Default::default();
-        let su = self.plan(&table, false, u, &mut fresh_u);
-        let sv = self.plan(&table, true, v, &mut fresh_v);
+        let su = self.plan(&table, false, u);
+        let sv = self.plan(&table, true, v);
         // Line 12 ahead of line 11: a pair that cannot reach δ is decided
         // before lists are built or `cache` is touched. Root pairs rarely
         // get this far — [`Matcher::viable`] cuts them at candidate time.
-        let (bounded, sorted) = (self.options.early_termination, self.options.sorted_lists);
+        let bounded = self.options.early_termination;
         let (bound, mut sc) = self.bound_and_scoring();
         bound.arm(&mut sc, su);
-        if bounded && bound.max_sco(&mut sc, sorted, sv) < delta {
+        if bounded && bound.max_sco(&mut sc, sv) < delta {
             self.stats.early_terminations += 1;
             self.set_verdict(u, v, false, Vec::new());
             return Ok(false);
@@ -1164,12 +1135,10 @@ impl<'a> Matcher<'a> {
         let (params, interner) = (self.params, self.interner);
         let delta = params.thresholds.delta;
         let bounded = self.options.early_termination && !self.gd.is_leaf(u);
-        let sorted = self.options.sorted_lists;
         // Held here so a pool member's plan is borrowed, not cloned.
         let table = self.ecache();
-        let mut fresh = Default::default();
         if bounded {
-            let su = self.plan(&table, false, u, &mut fresh);
+            let su = self.plan(&table, false, u);
             let (bound, mut sc) = self.bound_and_scoring();
             bound.arm(&mut sc, su);
         }
@@ -1183,9 +1152,9 @@ impl<'a> Matcher<'a> {
             if !bounded || self.border.as_ref().is_some_and(|b| b.contains(&v)) {
                 return true;
             }
-            let sv = self.plan(&table, true, v, &mut fresh);
+            let sv = self.plan(&table, true, v);
             let (bound, mut sc) = self.bound_and_scoring();
-            let cut = bound.falls_short(&mut sc, sorted, sv, delta);
+            let cut = bound.falls_short(&mut sc, sv, delta);
             self.stats.early_terminations += u64::from(cut);
             !cut
         });
@@ -1211,9 +1180,7 @@ impl<'a> Matcher<'a> {
         let (bound, mut sc) = self.bound_and_scoring();
         let mut lists = bound.lists(&mut sc, sv);
         for l in &mut lists {
-            if self.options.sorted_lists {
-                l.sort_by(|a, b| b.hrho.total_cmp(&a.hrho).then_with(|| a.v.cmp(&b.v)));
-            }
+            l.sort_by(|a, b| b.hrho.total_cmp(&a.hrho).then_with(|| a.v.cmp(&b.v)));
             self.probe(|p| p.candidate_list_len.observe(l.len() as u64));
         }
 
@@ -1492,14 +1459,7 @@ mod tests {
     fn options_do_not_change_verdicts() {
         let (gd, g, interner, u, v, decoy) = fixture();
         let p = params(0.9, 0.1, 5);
-        let all = MatcherOptions::default();
-        let none = MatcherOptions {
-            early_termination: false,
-            use_ecache: false,
-            sorted_lists: false,
-            ..Default::default()
-        };
-        for opts in [all, none] {
+        for opts in toggle_grid() {
             let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
             assert!(m.is_match(u, v), "opts {opts:?}");
             assert!(!m.is_match(u, decoy), "opts {opts:?}");
@@ -1908,16 +1868,10 @@ mod tests {
         assert!(!r.is_match(u, v), "generation sync clears restored verdicts");
     }
 
-    /// Every combination of the three ablation toggles.
+    /// The defaults, and the un-pruned run: `early_termination` off.
     fn toggle_grid() -> Vec<MatcherOptions> {
-        (0..8u8)
-            .map(|bits| MatcherOptions {
-                early_termination: bits & 1 == 0,
-                use_ecache: bits & 2 == 0,
-                sorted_lists: bits & 4 == 0,
-                ..Default::default()
-            })
-            .collect()
+        let unpruned = MatcherOptions { early_termination: false, ..Default::default() };
+        vec![MatcherOptions::default(), unpruned]
     }
 
     /// The appendix-C cycle of `interdependent_cycle_with_cleanup`.
@@ -2021,13 +1975,11 @@ mod tests {
 
     /// Verdicts, lineage sets and `MatchStats` captured at the commit
     /// before the score tiers and the bound-before-build shortcut landed
-    /// (acd788c), under all eight toggle combinations: the rewrite makes
+    /// (acd788c), with `early_termination` on and off: the rewrite makes
     /// each call cheaper, it must not change what a call decides or
-    /// counts. Per fixture: the trace digest (the same under every
-    /// combination) and `[calls, cache_hits, early_terminations,
-    /// cleanups, ecache_hits]` with `early_termination` on and off;
-    /// `sorted_lists` moved nothing and `use_ecache = false` only zeroes
-    /// `ecache_hits`.
+    /// counts. Per fixture: the trace digest (the same either way) and
+    /// `[calls, cache_hits, early_terminations, cleanups, ecache_hits]`
+    /// with `early_termination` on and off.
     #[test]
     fn verdicts_lineage_and_stats_equal_the_parent_commit() {
         let plain = || {
@@ -2051,15 +2003,12 @@ mod tests {
         ];
         for (name, (gd, g, interner), p, digest, with_et, without_et) in &golden {
             for opts in toggle_grid() {
-                let mut want = if opts.early_termination { *with_et } else { *without_et };
-                if !opts.use_ecache {
-                    want[4] = 0;
-                }
+                let want = if opts.early_termination { with_et } else { without_et };
                 let mut m = Matcher::with_options(gd, g, interner, p, opts.clone());
                 let trace = all_pairs_trace(&mut m);
                 let s = m.stats();
                 let got = [s.calls, s.cache_hits, s.early_terminations, s.cleanups, s.ecache_hits];
-                assert_eq!(got, want, "{name} stats under {opts:?}");
+                assert_eq!(got, *want, "{name} stats under {opts:?}");
                 assert_eq!(trace_digest(&trace), *digest, "{name} verdicts/lineage under {opts:?}");
             }
         }
@@ -2137,7 +2086,7 @@ mod tests {
 
     /// The first bound written out from the definition: raw selections,
     /// paths and a memo of its own — no plan, σ rows, masks or cover.
-    fn reference_bound(m: &mut Matcher<'_>, sorted_lists: bool, u: VertexId, v: VertexId) -> f32 {
+    fn reference_bound(m: &mut Matcher<'_>, u: VertexId, v: VertexId) -> f32 {
         let (gd, g, interner, p) = (m.gd(), m.g(), m.interner(), m.params());
         let (su, sv) = (p.ranker.select(gd, u, p.thresholds.k), p.ranker.select(g, v, p.thresholds.k));
         let mut scores = ScoreCache::new();
@@ -2149,7 +2098,7 @@ mod tests {
                     continue;
                 }
                 let hrho = scores.hrho(p, interner, pu, pv);
-                if head.is_none_or(|best| sorted_lists && hrho.total_cmp(&best).is_gt()) {
+                if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
                     head = Some(hrho);
                 }
             }
@@ -2167,7 +2116,7 @@ mod tests {
     fn check_bound(m: &mut Matcher<'_>, by_definition: bool) -> (usize, usize) {
         let (gd, g, p) = (m.gd(), m.g(), m.params());
         let Thresholds { sigma, delta, .. } = p.thresholds;
-        let (bounded, sorted) = (m.options.early_termination, m.options.sorted_lists);
+        let bounded = m.options.early_termination;
         let everything: Vec<VertexId> = g.vertices().collect();
         let (mut by_cover, mut by_float) = (0, 0);
         for u in gd.vertices() {
@@ -2178,24 +2127,23 @@ mod tests {
                 continue;
             }
             let table = m.ecache();
-            let (mut fresh_u, mut fresh_v) = Default::default();
-            let su = m.plan(&table, false, u, &mut fresh_u).to_vec();
+            let su = m.plan(&table, false, u).to_vec();
             let mut want = Vec::new();
             for &v in &everything {
-                let sv = m.plan(&table, true, v, &mut fresh_v).to_vec();
+                let sv = m.plan(&table, true, v).to_vec();
                 let (bound, mut sc) = m.bound_and_scoring();
                 bound.arm(&mut sc, &su);
                 let ceiling = bound.cover_bound(&mut sc, &sv);
-                let float = bound.max_sco(&mut sc, sorted, &sv);
+                let float = bound.max_sco(&mut sc, &sv);
                 assert_eq!(ceiling.is_none(), su.is_empty() || su.len() > 64, "({u:?}, {v:?})");
                 if let Some(ub) = ceiling {
                     assert!(ub >= float, "({u:?}, {v:?}): ceiling {ub} under the float {float}");
                     by_cover += usize::from(ub < delta);
                 }
                 by_float += usize::from(float < delta);
-                assert_eq!(bound.falls_short(&mut sc, sorted, &sv, delta), float < delta, "({u:?}, {v:?})");
+                assert_eq!(bound.falls_short(&mut sc, &sv, delta), float < delta, "({u:?}, {v:?})");
                 if by_definition {
-                    let reference = reference_bound(m, sorted, u, v);
+                    let reference = reference_bound(m, u, v);
                     assert_eq!(float.to_bits(), reference.to_bits(), "({u:?}, {v:?})");
                 }
                 if compatible(m, &v) && !(bounded && float < delta) {
@@ -2263,10 +2211,9 @@ mod tests {
                 let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts);
                 // Compile every plan, then overwrite every score.
                 let table = m.ecache();
-                let mut fresh = Default::default();
                 for (in_g, graph) in [(false, &gd), (true, &g)] {
                     for x in graph.vertices() {
-                        m.plan(&table, in_g, x, &mut fresh);
+                        m.plan(&table, in_g, x);
                     }
                 }
                 let seqs = table.seq_count() as u32;
@@ -2331,6 +2278,60 @@ mod tests {
                 assert_eq!(m.bound.wmax_seqs, 3, "e, a, then b: met mid-arm");
             }
             assert!(m.is_match(u, v2) && !m.is_match(u, v1));
+        }
+    }
+
+    /// A one-attribute star: `u −e→ x` in `G_D`; `v −a→ x₁`, `v −b→ x₂`
+    /// in `G`. For `(e, a, b)` the first triple whose selection of `v`
+    /// lists the child with the lower `h_ρ` first, and the `h_ρ` of both.
+    fn one_attribute_star() -> ((Graph, Graph, Interner), [VertexId; 4], [f32; 2]) {
+        let probe = params(0.9, 0.0, 2);
+        let words = ["has", "owns", "made_in", "factorySite", "isIn", "color", "brand", "name"];
+        let star = |e: &str, a: &str, b: &str| {
+            let mut builder = GraphBuilder::new();
+            let u = builder.add_vertex("hub");
+            let x = builder.add_vertex("x");
+            builder.add_edge(u, x, e);
+            let (gd, i) = builder.build();
+            let mut builder = GraphBuilder::with_interner(i);
+            let v = builder.add_vertex("hub");
+            for edge in [a, b] {
+                let leaf = builder.add_vertex("x");
+                builder.add_edge(v, leaf, edge);
+            }
+            let (g, interner) = builder.build();
+            ((gd, g, interner), u, v)
+        };
+        let n = words.len();
+        let triples = (0..n).flat_map(|e| (0..n).flat_map(move |a| (0..n).map(move |b| (e, a, b))));
+        triples
+            .filter(|&(_, a, b)| a != b)
+            .find_map(|(e, a, b)| {
+                let ((gd, g, interner), u, v) = star(words[e], words[a], words[b]);
+                let (x, second, h) = {
+                    let mut m = Matcher::new(&gd, &g, &interner, &probe);
+                    let (su, sv) = (m.select_d(u), m.select_g(v));
+                    let mut h = |i: usize| m.scores.hrho(&probe, &interner, &su[0].1, &sv[i].1);
+                    (su[0].0, sv[1].0, [h(0), h(1)])
+                };
+                (h[0] < h[1]).then_some(((gd, g, interner), [u, v, x, second], h))
+            })
+            .expect("some selection lists the weaker child first")
+    }
+
+    /// Fig. 4 line 11: with δ between the two `h_ρ`, `(u, v)` matches
+    /// through the better child only. The first bound must take the best
+    /// head, not the first, or `viable` cuts `v`; the list must be
+    /// sorted, or the matching stage settles for the first child.
+    #[test]
+    fn line_11_matches_through_the_best_candidate() {
+        let ((gd, g, interner), [u, v, x, best], [low, high]) = one_attribute_star();
+        let p = params(0.9, (low + high) / 2.0, 2);
+        for opts in toggle_grid() {
+            let mut m = Matcher::with_options(&gd, &g, &interner, &p, opts.clone());
+            assert_eq!(m.viable(u, vec![v]), vec![v], "{opts:?}");
+            assert!(m.is_match(u, v), "{opts:?}");
+            assert_eq!(m.lineage(u, v), Some(&[(x, best)][..]), "{opts:?}");
         }
     }
 
@@ -2400,7 +2401,7 @@ mod tests {
     /// on its own handle, one on a cold shared handle, one on a shared
     /// handle another matcher already filled, and a warm matcher whose
     /// verdicts were dropped all produce the same trace and the same
-    /// `MatchStats` — under every toggle combination.
+    /// `MatchStats` — with `early_termination` on and off.
     #[test]
     fn own_shared_and_warm_matchers_agree_under_every_toggle() {
         let (gd, g, interner) = nested_fixture();

@@ -2,14 +2,13 @@
 //! h_r)` and thresholds `(σ, δ, k)` (§III).
 
 use her_embed::{PathSimModel, SentenceModel, TopKRanker};
-use serde::{Deserialize, Serialize};
 
 /// Thresholds `(σ, δ, k)`.
 ///
 /// - `σ` bounds the vertex-label closeness `h_v`;
 /// - `δ` bounds the aggregate path-association score of a lineage set;
 /// - `k` caps how many important descendants `h_r` selects per vertex.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Thresholds {
     /// Vertex closeness bound for `h_v` (in `[0, 1]`).
     pub sigma: f32,

@@ -181,9 +181,8 @@ impl SelectionTable {
     }
 
     /// Compiles a selection made in `graph`, interning its sequences.
-    /// [`Self::plan`] does this once per slot; a matcher running without
-    /// `ecache` does it for each selection it makes.
-    pub fn compile(&self, graph: &Graph, selection: &[(VertexId, Path)]) -> Box<[PlanEntry]> {
+    /// [`Self::plan`] does this once per slot.
+    fn compile(&self, graph: &Graph, selection: &[(VertexId, Path)]) -> Box<[PlanEntry]> {
         if selection.is_empty() {
             return Box::default();
         }

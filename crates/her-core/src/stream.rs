@@ -18,7 +18,7 @@ use crate::paramatch::{Matcher, MatcherOptions};
 use crate::vpair;
 use her_graph::VertexId;
 use her_rdb::TupleRef;
-use her_store::wal::{self, WalReplay, WalWriter};
+use her_store::wal::{WalReplay, WalWriter};
 use her_store::{vfs, CodecError, Dec, Enc, StoreError, Vfs};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -495,23 +495,6 @@ impl<'a> DurableStreamLinker<'a> {
     /// Tuples processed so far (including replayed ones), in order.
     pub fn processed(&self) -> &[TupleRef] {
         self.inner.processed()
-    }
-
-    /// Replays the WAL at `path` without opening it for append, returning
-    /// the journaled operations in order. Read-only resume/inspection.
-    pub fn read_ops(path: impl AsRef<Path>) -> Result<(Vec<StreamOp>, WalReplay), StoreError> {
-        let path = path.as_ref();
-        let mut ops = Vec::new();
-        let replay = wal::replay(path, |payload| {
-            let op = StreamOp::decode(payload).map_err(|e| StoreError::Corrupt {
-                path: path.into(),
-                offset: 0,
-                message: format!("WAL record {}: {e}", ops.len() + 1),
-            })?;
-            ops.push(op);
-            Ok(())
-        })?;
-        Ok((ops, replay))
     }
 }
 

@@ -31,7 +31,6 @@ pub type LabeledPair = (Vec<String>, Vec<String>, bool);
 pub struct PathSimModel {
     encoder: SeqEncoder,
     mlp: Mlp,
-    hidden: usize,
 }
 
 impl PathSimModel {
@@ -42,7 +41,6 @@ impl PathSimModel {
         Self {
             encoder: SeqEncoder::new(dim),
             mlp: Mlp::new(&[4 * dim + 2, hidden, hidden / 2, 1], seed),
-            hidden,
         }
     }
 
@@ -175,11 +173,6 @@ impl PathSimModel {
             self.mlp.backward_from(&fn_, 1.0, lr);
         }
         loss
-    }
-
-    /// Width of the first hidden layer (introspection for docs/tests).
-    pub fn hidden_width(&self) -> usize {
-        self.hidden
     }
 }
 

@@ -18,34 +18,25 @@ pub struct TopKRanker {
     lm: PathLm,
     /// Hard cap on path growth (the paper caps training paths at 4 edges).
     max_len: usize,
-    /// Stop growing when the current endpoint branches more than this
-    /// (Example 6: the LM emits `<eos>` at vertices with "many descendants
-    /// that will diverge and weaken the semantic association"). Entity-like
-    /// vertices (sub-entities with several attributes) therefore terminate
-    /// paths, which is what lets parametric simulation recurse into them.
-    branch_cap: usize,
 }
+
+/// Stop growing when the current endpoint branches more than this
+/// (Example 6: the LM emits `<eos>` at vertices with "many descendants
+/// that will diverge and weaken the semantic association"). Entity-like
+/// vertices (sub-entities with several attributes) therefore terminate
+/// paths, which is what lets parametric simulation recurse into them.
+const BRANCH_CAP: usize = 3;
 
 impl TopKRanker {
     /// Creates a ranker driven by a trained (or untrained) path LM.
     pub fn new(lm: PathLm) -> Self {
-        Self {
-            lm,
-            max_len: 4,
-            branch_cap: 3,
-        }
+        Self { lm, max_len: 4 }
     }
 
     /// Overrides the maximum path length.
     pub fn with_max_len(mut self, max_len: usize) -> Self {
         assert!(max_len >= 1);
         self.max_len = max_len;
-        self
-    }
-
-    /// Overrides the branching cap for path growth.
-    pub fn with_branch_cap(mut self, branch_cap: usize) -> Self {
-        self.branch_cap = branch_cap;
         self
     }
 
@@ -103,7 +94,7 @@ impl TopKRanker {
             if cand.is_empty() {
                 break; // stop condition (b): no outward edge
             }
-            if cand.len() > self.branch_cap {
+            if cand.len() > BRANCH_CAP {
                 break; // diverging entity-like vertex: stop (Example 6)
             }
             let labels: Vec<her_graph::LabelId> = cand.iter().map(|(l, _)| *l).collect();

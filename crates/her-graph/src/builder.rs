@@ -42,13 +42,6 @@ impl GraphBuilder {
         id
     }
 
-    /// Adds a vertex with an already-interned label.
-    pub fn add_vertex_interned(&mut self, label: LabelId) -> VertexId {
-        let id = VertexId(self.vlabels.len() as u32);
-        self.vlabels.push(label);
-        id
-    }
-
     /// Adds a directed edge `src --label--> dst`.
     ///
     /// # Panics
@@ -60,15 +53,6 @@ impl GraphBuilder {
         );
         let l = self.interner.intern(label);
         self.edges.push((src, l, dst));
-    }
-
-    /// Adds an edge with an already-interned label.
-    pub fn add_edge_interned(&mut self, src: VertexId, dst: VertexId, label: LabelId) {
-        assert!(
-            src.index() < self.vlabels.len() && dst.index() < self.vlabels.len(),
-            "edge endpoint out of range"
-        );
-        self.edges.push((src, label, dst));
     }
 
     /// Interns a label without attaching it to anything.

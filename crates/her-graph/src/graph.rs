@@ -6,13 +6,12 @@
 //! iterate.
 
 use crate::ids::{LabelId, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A directed labeled graph `G = (V, E, L)` in compressed-sparse-row form.
 ///
 /// Every vertex carries one label (a Θ value/type string, interned), every
 /// edge one label (a Φ predicate, interned). Vertex ids are dense `0..n`.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Graph {
     /// Label of each vertex, indexed by `VertexId`.
     vlabels: Vec<LabelId>,

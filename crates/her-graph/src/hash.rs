@@ -77,11 +77,6 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` keyed with [`FxHasher`]. Drop-in for `std::collections::HashSet`.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
-/// Convenience constructor mirroring `HashMap::with_capacity`.
-pub fn fx_map_with_capacity<K, V>(cap: usize) -> FxHashMap<K, V> {
-    FxHashMap::with_capacity_and_hasher(cap, FxBuildHasher::default())
-}
-
 /// Convenience constructor mirroring `HashSet::with_capacity`.
 pub fn fx_set_with_capacity<T>(cap: usize) -> FxHashSet<T> {
     FxHashSet::with_capacity_and_hasher(cap, FxBuildHasher::default())

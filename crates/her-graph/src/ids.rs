@@ -5,16 +5,15 @@
 //! paper's evaluation reach hundreds of millions of vertices/edges; ours are
 //! smaller but the idiom is the same).
 
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a vertex within one [`crate::Graph`].
 ///
 /// Vertex ids are dense: a graph with `n` vertices uses ids `0..n`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VertexId(pub u32);
 
 /// Identifier of an interned label string (vertex label or edge label).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelId(pub u32);
 
 impl VertexId {

@@ -8,13 +8,11 @@
 
 use crate::hash::FxHashMap;
 use crate::ids::LabelId;
-use serde::{Deserialize, Serialize};
 
 /// Bidirectional map between label strings and dense [`LabelId`]s.
-#[derive(Default, Clone, Serialize, Deserialize)]
+#[derive(Default, Clone)]
 pub struct Interner {
     strings: Vec<String>,
-    #[serde(skip)]
     lookup: FxHashMap<String, LabelId>,
 }
 
@@ -67,8 +65,7 @@ impl Interner {
             .map(|(i, s)| (LabelId(i as u32), s.as_str()))
     }
 
-    /// Rebuilds the reverse lookup table (needed after deserialization,
-    /// since the map is skipped by serde).
+    /// Rebuilds the reverse lookup table from the strings.
     pub fn rebuild_lookup(&mut self) {
         self.lookup = self
             .strings

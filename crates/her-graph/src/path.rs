@@ -7,10 +7,9 @@
 
 use crate::graph::Graph;
 use crate::ids::{LabelId, VertexId};
-use serde::{Deserialize, Serialize};
 
 /// A path through a [`Graph`]: `l + 1` vertices joined by `l` labeled edges.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     vertices: Vec<VertexId>,
     edge_labels: Vec<LabelId>,

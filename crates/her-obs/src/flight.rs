@@ -322,17 +322,6 @@ impl FlightRecorder {
     pub fn contended(&self) -> u64 {
         self.contended.load(Ordering::Relaxed)
     }
-
-    /// Median execution latency (rolling histogram bound) for `op_tag`,
-    /// 0 before any sample. Bench telemetry exports these.
-    pub fn median_exec_us(&self, op_tag: u8) -> u64 {
-        let h = &self.exec_hist[(op_tag as usize).min(op::COUNT - 1)];
-        if h.count() == 0 {
-            0
-        } else {
-            h.quantile_bound(0.5)
-        }
-    }
 }
 
 /// Convenience: a record skeleton for a request minted as `ctx`.

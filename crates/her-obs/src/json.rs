@@ -1,8 +1,7 @@
 //! Minimal hand-rolled JSON emission.
 //!
-//! The workspace's `serde` is a vendored shim and `her-obs` is
-//! deliberately zero-dependency, so snapshots serialize through this
-//! tiny writer instead. It covers exactly what telemetry needs:
+//! `her-obs` is deliberately zero-dependency, so snapshots serialize
+//! through this tiny writer. It covers exactly what telemetry needs:
 //! objects, arrays, strings (with escaping), integers, and floats
 //! (non-finite values become `null`, which keeps consumers honest).
 
@@ -82,12 +81,6 @@ impl<'a> Obj<'a> {
         self
     }
 
-    pub fn field_bool(&mut self, key: &str, value: bool) -> &mut Self {
-        self.key(key);
-        self.out.push_str(if value { "true" } else { "false" });
-        self
-    }
-
     /// Appends `key: <raw>` where `raw` is already-serialized JSON.
     pub fn field_raw(&mut self, key: &str, raw: &str) -> &mut Self {
         self.key(key);
@@ -117,12 +110,6 @@ impl<'a> Arr<'a> {
             self.out.push(',');
         }
         self.first = false;
-    }
-
-    pub fn push_raw(&mut self, raw: &str) -> &mut Self {
-        self.sep();
-        self.out.push_str(raw);
-        self
     }
 
     pub fn push_u64(&mut self, v: u64) -> &mut Self {

@@ -4,10 +4,9 @@ use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::tuple::{Tuple, TupleRef};
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A database `D = (D1, …, Dn)` of schema `R = (R1, …, Rn)`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Database {
     schema: Schema,
     relations: Vec<Relation>,

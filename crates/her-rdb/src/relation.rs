@@ -1,13 +1,12 @@
 //! Relation instances.
 
 use crate::tuple::Tuple;
-use serde::{Deserialize, Serialize};
 
 /// An instance of one relation schema: an ordered collection of tuples.
 ///
 /// (The paper treats relations as sets; we keep insertion order so row
 /// indices are stable [`crate::TupleRef`] targets.)
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Relation {
     tuples: Vec<Tuple>,
 }

@@ -1,10 +1,9 @@
 //! Database schemas: relation schemas, attributes, foreign keys.
 
-use serde::{Deserialize, Serialize};
 
 /// A declared foreign key: attribute `attr` of this relation references
 /// tuples of relation `target_relation`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ForeignKey {
     /// Attribute position within the owning relation schema.
     pub attr: usize,
@@ -13,7 +12,7 @@ pub struct ForeignKey {
 }
 
 /// Schema of one relation: `R = (A1, …, Ak)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RelationSchema {
     name: String,
     attrs: Vec<String>,
@@ -77,7 +76,7 @@ impl RelationSchema {
 }
 
 /// A database schema `R = (R1, …, Rn)`.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schema {
     relations: Vec<RelationSchema>,
 }

@@ -1,11 +1,10 @@
 //! Tuples and tuple references.
 
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 
 /// A stable reference to a tuple: `(relation index, row index)` within one
 /// [`crate::Database`].
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TupleRef {
     /// Index of the relation within the database schema.
     pub relation: u32,
@@ -28,7 +27,7 @@ impl std::fmt::Debug for TupleRef {
 
 /// One tuple: a vector of [`Value`]s positionally matching its relation
 /// schema's attributes.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Tuple {
     values: Vec<Value>,
 }

@@ -1,13 +1,12 @@
 //! Attribute values.
 
 use crate::tuple::TupleRef;
-use serde::{Deserialize, Serialize};
 
 /// A single attribute value in a tuple.
 ///
 /// `Ref` values implement foreign keys: the value *is* the referenced tuple
 /// (Table I's `brand` column holds `b1`, a reference into relation `brand`).
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL. RDB2RDF maps no vertex for a null attribute.
     Null,

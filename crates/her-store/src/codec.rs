@@ -1,10 +1,9 @@
 //! Minimal byte codec for checkpoint payloads.
 //!
-//! The workspace's `serde` is a vendored shim, so durable state serializes
-//! through this explicit little-endian writer/reader instead — every field
-//! written in a fixed order, every read bounds-checked. [`Dec`] never
-//! panics: malformed input surfaces as a [`CodecError`] carrying the
-//! offset, which the store maps into
+//! Durable state serializes through this explicit little-endian
+//! writer/reader — every field written in a fixed order, every read
+//! bounds-checked. [`Dec`] never panics: malformed input surfaces as a
+//! [`CodecError`] carrying the offset, which the store maps into
 //! [`StoreError::Corrupt`](crate::StoreError::Corrupt).
 
 /// A decoding failure: the payload ended early or held an impossible value.

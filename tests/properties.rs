@@ -198,7 +198,7 @@ proptest! {
     /// its own score handle, matchers on a cold and on a warm shared
     /// handle, and a warm re-armed (pooled) matcher agree on the match
     /// set, every lineage set and — warm re-run aside — `MatchStats`,
-    /// under each ablation toggle; 2- and 4-worker `pallmatch`, with and
+    /// with `early_termination` on and off; 2- and 4-worker `pallmatch`, with and
     /// without a shared handle, find the sequential match set.
     #[test]
     fn score_tiers_and_engines_agree(
@@ -221,8 +221,6 @@ proptest! {
         let toggles = [
             MatcherOptions::default(),
             MatcherOptions { early_termination: false, ..Default::default() },
-            MatcherOptions { use_ecache: false, ..Default::default() },
-            MatcherOptions { sorted_lists: false, ..Default::default() },
         ];
         for opts in toggles {
             let mut own = Matcher::with_options(&gd, &g, &interner, &params, opts.clone());
@@ -243,7 +241,7 @@ proptest! {
                 prop_assert_eq!(lineages(&m), lineages(&own));
                 prop_assert_eq!(m.stats().delta_since(&before).calls, 0);
             }
-            if opts.early_termination && opts.use_ecache && opts.sorted_lists {
+            if opts.early_termination {
                 for workers in [2, 4] {
                     for shared_scores in [true, false] {
                         let (parallel, _) = pallmatch(&gd, &g, &interner, &params, &roots, &ParallelConfig {
@@ -260,8 +258,8 @@ proptest! {
     }
 
     /// Candidate generation decides the first `MaxSco` bound, and nothing
-    /// else: on random `(G_D, G)` with random σ, δ and `k`, under all
-    /// eight toggle combinations, scanning and blocked. The reference is
+    /// else: on random `(G_D, G)` with random σ, δ and `k`, with
+    /// `early_termination` on and off, scanning and blocked. The reference is
     /// written here from public pieces — pool, then `hv_pair ≥ σ`, then
     /// the bound from raw selections, paths and a memo of its own (no
     /// plan, σ row or cover), then a fresh matcher's `is_match` per pair
@@ -301,16 +299,11 @@ proptest! {
             );
         }
 
-        for bits in 0..8u8 {
-            let opts = MatcherOptions {
-                early_termination: bits & 1 == 0,
-                use_ecache: bits & 2 == 0,
-                sorted_lists: bits & 4 == 0,
-                ..Default::default()
-            };
+        for early_termination in [true, false] {
+            let opts = MatcherOptions { early_termination, ..Default::default() };
             let matcher = || Matcher::with_options(&gd, &g, &interner, &params, opts.clone());
             // Fig. 4 line 12 from the definition: Σ over the selected u′ of
-            // the best σ-compatible h_ρ (the first, unsorted).
+            // the best σ-compatible h_ρ.
             let reference_bound = |u: VertexId, v: VertexId| -> f32 {
                 let mut scores = her::core::scores::ScoreCache::new();
                 let (su, sv) = (params.ranker.select(&gd, u, k), params.ranker.select(&g, v, k));
@@ -320,7 +313,7 @@ proptest! {
                     for (vp, pv) in &sv {
                         if scores.hv(&params, &interner, gd.label(*up), g.label(*vp)) >= sigma {
                             let hrho = scores.hrho(&params, &interner, pu, pv);
-                            if head.is_none_or(|best| opts.sorted_lists && hrho.total_cmp(&best).is_gt()) {
+                            if head.is_none_or(|best| hrho.total_cmp(&best).is_gt()) {
                                 head = Some(hrho);
                             }
                         }
@@ -363,7 +356,7 @@ proptest! {
                 }
                 // (iii), all pairs
                 prop_assert_eq!(&apair(&mut matcher(), &roots, index), &reference, "apair, {:?}", opts);
-                if bits == 0 {
+                if early_termination {
                     for simulate_cluster in [true, false] {
                         let (parallel, _) = pallmatch(&gd, &g, &interner, &params, &roots, &ParallelConfig {
                             workers: 2,
