@@ -64,16 +64,6 @@ impl Interner {
             .enumerate()
             .map(|(i, s)| (LabelId(i as u32), s.as_str()))
     }
-
-    /// Rebuilds the reverse lookup table from the strings.
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .strings
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), LabelId(i as u32)))
-            .collect();
-    }
 }
 
 impl std::fmt::Debug for Interner {
@@ -131,19 +121,6 @@ mod tests {
         i.intern("y");
         let pairs: Vec<_> = i.iter().map(|(id, s)| (id.0, s.to_owned())).collect();
         assert_eq!(pairs, vec![(0, "x".to_owned()), (1, "y".to_owned())]);
-    }
-
-    #[test]
-    fn rebuild_lookup_restores_queries() {
-        let mut i = Interner::new();
-        i.intern("hello");
-        let mut clone = Interner {
-            strings: vec!["hello".to_owned()],
-            lookup: Default::default(),
-        };
-        assert_eq!(clone.get("hello"), None);
-        clone.rebuild_lookup();
-        assert_eq!(clone.get("hello"), i.get("hello"));
     }
 
     #[test]

@@ -97,7 +97,6 @@ pub const ALL: &[&str] = &[
     "store.iofault.write_failures",
     "store.snapshot.bytes",
     "store.snapshot.write_us",
-    "store.snapshot_bytes",
     "store.snapshots_loaded",
     "store.snapshots_written",
     "store.wal_bytes",

@@ -58,7 +58,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// A plan exercising every fault kind at moderate frequency — the
-    /// configuration the integration tests and the CI smoke drill use.
+    /// configuration the her-serve integration tests use.
     pub fn chaos(seed: u64) -> Self {
         FaultPlan {
             seed,

@@ -345,21 +345,13 @@ impl<'h> SessionRegistry<'h> {
             },
             None => None,
         };
-        let (linker, replay) = match &restored {
-            Some(ck) => DurableStreamLinker::open_at_vfs(
-                self.her,
-                &wal,
-                Arc::clone(&self.vfs),
-                self.obs.clone(),
-                ck,
-            )?,
-            None => DurableStreamLinker::open_vfs(
-                self.her,
-                &wal,
-                Arc::clone(&self.vfs),
-                self.obs.clone(),
-            )?,
-        };
+        let (linker, replay) = DurableStreamLinker::open_vfs(
+            self.her,
+            &wal,
+            Arc::clone(&self.vfs),
+            self.obs.clone(),
+            restored.as_ref(),
+        )?;
         if let Some(ck) = &restored {
             info!(
                 "serve: session {id}: restored snapshot at op {} + replayed WAL to op {}",

@@ -161,7 +161,6 @@ impl SnapshotStore {
 
         if let Some(obs) = &self.obs {
             obs.registry.counter("store.snapshots_written").inc();
-            obs.registry.counter("store.snapshot_bytes").add(buf.len() as u64);
             obs.registry
                 .histogram("store.snapshot.bytes")
                 .observe(buf.len() as u64);

@@ -28,8 +28,7 @@ fn main() {
         thresholds: Thresholds::new(0.9, 0.05, 8),
         ..Default::default()
     };
-    let mut interner = dataset.interner.clone();
-    interner.rebuild_lookup();
+    let interner = dataset.interner.clone();
     let system = Her::build(&dataset.db, dataset.g.clone(), interner, &cfg);
 
     let tuple_vertices: Vec<_> = dataset

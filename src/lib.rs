@@ -67,8 +67,7 @@ pub fn train_on(dataset: &LinkedDataset, mut cfg: HerConfig) -> Her {
     for (a, b) in &dataset.synonyms {
         cfg.synonyms.push((a.clone(), b.clone()));
     }
-    let mut interner = dataset.interner.clone();
-    interner.rebuild_lookup();
+    let interner = dataset.interner.clone();
     let mut system = Her::build(&dataset.db, dataset.g.clone(), interner, &cfg);
     // The 50/15/35 protocol needs enough annotations for a meaningful 15%
     // validation slice; tiny datasets (like the running example) train and

@@ -1,7 +1,8 @@
 //! End-to-end durability drills through the `her-cli` binary: kill a
 //! journaled stream session mid-run and resume it from its WAL, survive a
-//! torn tail, and refuse corrupt durable state with exit code 1 and a
-//! one-line diagnostic. Mirrors the CI crash-recovery smoke job.
+//! torn tail, refuse corrupt durable state with exit code 1 and a
+//! one-line diagnostic, and checkpoint a parallel `apair` without
+//! changing its answer.
 
 use std::fs;
 use std::path::{Path, PathBuf};

@@ -111,8 +111,7 @@ fn learned_thresholds_beat_degenerate_ones() {
     let dataset = her::datagen::dbpedia::generate_sized(100, 5);
     let cfg = HerConfig::default();
     let (train, val, test) = dataset.split(cfg.seed);
-    let mut interner = dataset.interner.clone();
-    interner.rebuild_lookup();
+    let interner = dataset.interner.clone();
     let mut system = Her::build(&dataset.db, dataset.g.clone(), interner, &cfg);
     system.learn(&train, &val, &cfg, &SearchSpace::default());
     let learned = system.evaluate(&test).f_measure();
