@@ -50,12 +50,6 @@ pub struct HerConfig {
     /// Synonym lexicon injected into `M_v` (stands in for pre-trained
     /// semantic knowledge).
     pub synonyms: Vec<(String, String)>,
-    /// Share one [`SharedScores`] layer behind every matcher the facade
-    /// creates, so repeated queries (SPair/VPair/APair) never re-embed
-    /// the same label. Pure memoization — results are unchanged; off
-    /// (every matcher reads through a layer of its own) is only useful
-    /// for ablation.
-    pub use_shared_scores: bool,
 }
 
 impl Default for HerConfig {
@@ -71,7 +65,6 @@ impl Default for HerConfig {
             train_epochs: 150,
             use_blocking: true,
             synonyms: Vec::new(),
-            use_shared_scores: true,
         }
     }
 }
@@ -99,7 +92,9 @@ pub struct Her {
     /// of scanning the whole map (O(|verified|·|matches|) before).
     verified_by_tuple: her_graph::hash::FxHashMap<TupleRef, Vec<(VertexId, bool)>>,
     /// Process-wide score memo injected into every matcher this facade
-    /// creates (`None` when [`HerConfig::use_shared_scores`] is off).
+    /// creates, so repeated queries (SPair/VPair/APair) never re-embed
+    /// the same label. Always `Some`: [`Her::build`] makes it. The
+    /// `Option` is kept for readers written against it.
     /// [`Her::learn`] and [`Her::refine`] invalidate it after mutating
     /// the models, bumping its generation so live matchers re-sync.
     pub shared_scores: Option<SharedScores>,
@@ -154,7 +149,7 @@ impl Her {
             index,
             verified: Default::default(),
             verified_by_tuple: Default::default(),
-            shared_scores: cfg.use_shared_scores.then(SharedScores::new),
+            shared_scores: Some(SharedScores::new()),
         }
     }
 
@@ -221,8 +216,8 @@ impl Her {
     }
 
     /// A fresh stateful matcher (reuse across queries for cache benefits).
-    /// Scores read through the facade's [`SharedScores`] when enabled, so
-    /// even throwaway matchers never re-embed known labels.
+    /// Scores read through the facade's [`SharedScores`], so even
+    /// throwaway matchers never re-embed known labels.
     pub fn matcher(&self) -> Matcher<'_> {
         self.matcher_with(MatcherOptions::default())
     }
@@ -570,8 +565,8 @@ mod tests {
     #[test]
     fn facade_shares_scores_across_queries_and_refines_safely() {
         let (db, g, i, ts, vs) = fixture();
-        let mut her = Her::build(&db, g.clone(), i.clone(), &cfg());
-        let shared = her.shared_scores.clone().expect("shared scores on by default");
+        let mut her = Her::build(&db, g, i, &cfg());
+        let shared = her.shared_scores.clone().expect("the facade always has a handle");
         let first = her.apair();
         let embeds = shared.embed_calls();
         assert!(embeds > 0);
@@ -579,12 +574,6 @@ mod tests {
         assert_eq!(her.apair(), first);
         assert!(her.spair(ts[0], vs[0]));
         assert_eq!(shared.embed_calls(), embeds, "no re-embedding across queries");
-        // Ablation: shared scoring must not change any result.
-        let mut c = cfg();
-        c.use_shared_scores = false;
-        let her_private = Her::build(&db, g, i, &c);
-        assert!(her_private.shared_scores.is_none());
-        assert_eq!(her_private.apair(), first);
         // Refinement fine-tunes the models → generation bump.
         let before = shared.generation();
         her.refine(&[(ts[0], vs[1], false)], &RefineConfig::default());
@@ -592,7 +581,7 @@ mod tests {
     }
 
     /// Refinement and the two score tiers: a matcher borrows the
-    /// parameters, so none (and no private pair memo) can outlive a
+    /// parameters, so none (and no private score memo) can outlive a
     /// `refine`; what does outlive it is the facade's shared handle,
     /// whose memos `refine` must drop — the next matcher then scores the
     /// fine-tuned pair afresh instead of reading the stale float.

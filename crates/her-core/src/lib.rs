@@ -9,8 +9,8 @@
 //! `Σ h_ρ ≥ δ`. The modules:
 //!
 //! - [`params`]: the parameter bundle `(h_v, h_ρ, h_r, σ, δ, k)`;
-//! - [`scores`]: the private, lock-free pair memo each matcher's hot loop
-//!   reads `h_v`/`h_ρ` from;
+//! - [`scores`]: the private, lock-free id-keyed memo each matcher's hot
+//!   loop reads `h_v ≥ σ` and `h_ρ` from;
 //! - [`shared_scores`]: the thread-safe sharded layer behind it that one
 //!   process shares across all matchers (sequential facade, BSP
 //!   workers), keeping embeddings and encodings exactly-once;

@@ -255,13 +255,14 @@ pub struct MatcherOptions {
     /// exhaustion. `None` (the default) costs one branch per site.
     pub obs: Option<her_obs::Obs>,
     /// Process-wide score layer ([`SharedScores`]) behind the matcher's
-    /// private pair memo: when set, misses of the memo read through this
-    /// handle, so all matchers holding it embed each distinct label
-    /// once; when `None` the matcher reads through a handle of its own.
-    /// Scores are pure memoised functions, so results are bit-identical
-    /// either way; the matcher tracks the handle's invalidation
-    /// generation and drops its derived caches (pair memo, verdicts,
-    /// selections) when fine-tuning bumps it.
+    /// private memo: misses of the memo read through this handle, so all
+    /// matchers holding it embed each distinct label once. The `Her`
+    /// facade and the parallel engine always pass one; `None` gives the
+    /// matcher a fresh handle of its own. Scores are pure memoised
+    /// functions, so results are bit-identical either way; the matcher
+    /// tracks the handle's invalidation generation and drops its derived
+    /// caches (σ rows and id tables, verdicts, selections) when
+    /// fine-tuning bumps it.
     pub shared_scores: Option<SharedScores>,
     /// Request-scoped trace context ([`her_obs::ReqCtx`]): minted at
     /// the serving path's admission gate and threaded here so the
@@ -512,7 +513,7 @@ pub struct Matcher<'a> {
     interner: &'a Interner,
     params: &'a Params,
     options: MatcherOptions,
-    /// Private pair memo over the [`SharedScores`] handle in force.
+    /// Private score memo over the [`SharedScores`] handle in force.
     scores: ScoreCache,
     /// The [`SharedScores`] generation this matcher last synced with.
     seen_generation: u64,
@@ -555,13 +556,7 @@ impl<'a> Matcher<'a> {
         options: MatcherOptions,
     ) -> Self {
         let probes = options.obs.as_ref().map(Probes::resolve);
-        let shared = match (&options.shared_scores, &options.obs) {
-            (Some(shared), _) => shared.clone(),
-            // An own handle reports into the same `scores.*` counters
-            // a shared one would, so the two compare directly.
-            (None, Some(obs)) => SharedScores::with_obs_for_workers(obs, 1),
-            (None, None) => SharedScores::new(),
-        };
+        let shared = options.shared_scores.clone().unwrap_or_default();
         let seen_generation = shared.generation();
         let scores = ScoreCache::over(shared);
         Self {
@@ -785,12 +780,12 @@ impl<'a> Matcher<'a> {
         }
     }
 
-    /// `h_v` between a `G_D` vertex and a `G` vertex (used by candidate
-    /// generation in VPair/APair). Memo hits it tallies are published by
-    /// the next query entry point, or on drop.
+    /// The float `h_v` between a `G_D` vertex and a `G` vertex, read from
+    /// the score handle. Matching itself only asks `h_v ≥ σ`, of the σ
+    /// rows; this is for callers that want the score.
     pub fn hv_pair(&mut self, u: VertexId, v: VertexId) -> f32 {
         let (l1, l2) = (self.gd.label(u), self.g.label(v));
-        self.scores.hv(self.params, self.interner, l1, l2)
+        self.scores.shared().hv(self.params, self.interner, l1, l2)
     }
 
     /// Module SPair: does `(u, v)` match by parametric simulation?
@@ -895,7 +890,7 @@ impl<'a> Matcher<'a> {
     /// tier). Used by schema matching to score path prefixes (appendix D).
     pub fn mrho_seq(&mut self, seq1: &[her_graph::LabelId], seq2: &[her_graph::LabelId]) -> f32 {
         self.sync_shared_generation();
-        let s = self.scores.mrho(self.params, self.interner, seq1, seq2);
+        let s = self.scores.shared().mrho(self.params, self.interner, seq1, seq2);
         self.flush_telemetry();
         s
     }
@@ -1060,12 +1055,14 @@ impl<'a> Matcher<'a> {
     fn para_match(&mut self, u: VertexId, v: VertexId) -> Result<bool, ExhaustReason> {
         self.check_budget(true)?;
         self.stats.calls += 1;
-        let Params { thresholds, .. } = self.params;
-        let (sigma, delta) = (thresholds.sigma, thresholds.delta);
+        let (params, interner) = (self.params, self.interner);
+        let delta = params.thresholds.delta;
 
         // --- Initial stage (lines 1-11) ---
-        let hv = self.hv_pair(u, v);
-        if hv < sigma {
+        // `h_v(u, v) ≥ σ` is read from `L(u)`'s σ row, as in `viable`.
+        let lu = self.gd.label(u);
+        let root = self.scores.sigma_row(params, interner, lu);
+        if !self.scores.reaches_sigma(params, interner, (lu, root), self.g.label(v)) {
             self.set_verdict(u, v, false, Vec::new());
             return Ok(false);
         }
@@ -1635,8 +1632,7 @@ mod tests {
             use her_graph::Path;
             let pu = Path::new(vec![u, u1], vec![gd.edge_label(u, u1).unwrap()]);
             let pv = Path::new(vec![v, v1], vec![g.edge_label(v, v1).unwrap()]);
-            let mut sc = crate::scores::ScoreCache::new();
-            sc.hrho(&probe, &interner, &pu, &pv)
+            SharedScores::new().hrho(&probe, &interner, &pu, &pv)
         };
         let p = params(0.95, s * 1.5, 5);
         let mut m = Matcher::new(&gd, &g, &interner, &p);
@@ -1815,9 +1811,9 @@ mod tests {
             let calls = b.stats().calls;
             assert!(b.is_match(u, v), "unchanged params, same verdict");
             assert!(b.stats().calls > calls, "verdict re-derived, not served stale");
-            // ...and re-derived from the handle, not from b's private pair
-            // memo: the sync dropped that along with the verdicts.
-            assert!(shared.hv_entries() > 0, "private memo survived the bump");
+            // ...and re-derived from the handle, not from b's σ rows: the
+            // sync dropped those along with the verdicts.
+            assert!(shared.hv_entries() > 0, "σ rows survived the bump");
             assert!(!Rc::ptr_eq(&plans, &b.ecache()), "b kept the old generation's plans");
             assert_eq!(candidates(&mut b, u, None), vec![v], "unchanged params, same candidates");
             ck
@@ -2072,7 +2068,7 @@ mod tests {
             let mut m = Matcher::new(&gd, &g, &interner, &probe);
             let (su, sv) = (m.select_d(u), m.select_g(v));
             assert_eq!(su.len(), 70);
-            m.scores.hrho(&probe, &interner, &su[0].1, &sv[0].1)
+            m.scores.shared().hrho(&probe, &interner, &su[0].1, &sv[0].1)
         };
         assert!(s > 0.0);
         let p = params(0.95, s * 65.5, 70);
@@ -2085,11 +2081,11 @@ mod tests {
     }
 
     /// The first bound written out from the definition: raw selections,
-    /// paths and a memo of its own — no plan, σ rows, masks or cover.
+    /// paths and a handle of its own — no plan, σ rows, masks or cover.
     fn reference_bound(m: &mut Matcher<'_>, u: VertexId, v: VertexId) -> f32 {
         let (gd, g, interner, p) = (m.gd(), m.g(), m.interner(), m.params());
         let (su, sv) = (p.ranker.select(gd, u, p.thresholds.k), p.ranker.select(g, v, p.thresholds.k));
-        let mut scores = ScoreCache::new();
+        let scores = SharedScores::new();
         let mut bound = 0.0f32;
         for (up, pu) in &su {
             let mut head: Option<f32> = None;
@@ -2244,8 +2240,8 @@ mod tests {
             let mut builder = GraphBuilder::new();
             let ids: Vec<LabelId> = words.iter().map(|w| builder.intern(w)).collect();
             let (_, interner) = builder.build();
-            let mut scores = ScoreCache::new();
-            let mut h = |x: usize, y: usize| scores.mrho(&probe, &interner, &[ids[x]], &[ids[y]]) / 2.0;
+            let scores = SharedScores::new();
+            let h = |x: usize, y: usize| scores.mrho(&probe, &interner, &[ids[x]], &[ids[y]]) / 2.0;
             let n = words.len();
             let triples = (0..n).flat_map(|e| (0..n).flat_map(move |a| (0..n).map(move |b| (e, a, b))));
             triples
@@ -2311,7 +2307,7 @@ mod tests {
                 let (x, second, h) = {
                     let mut m = Matcher::new(&gd, &g, &interner, &probe);
                     let (su, sv) = (m.select_d(u), m.select_g(v));
-                    let mut h = |i: usize| m.scores.hrho(&probe, &interner, &su[0].1, &sv[i].1);
+                    let h = |i: usize| m.scores.shared().hrho(&probe, &interner, &su[0].1, &sv[i].1);
                     (su[0].0, sv[1].0, [h(0), h(1)])
                 };
                 (h[0] < h[1]).then_some(((gd, g, interner), [u, v, x, second], h))

@@ -2,7 +2,7 @@
 //!
 //! A [`crate::paramatch::Matcher`] accumulates state worth keeping —
 //! the verdict `cache`, the lineage reverse-dependency index, the
-//! top-k selections and the private score pair memo — yet the serving path historically built a fresh
+//! top-k selections and the private score memo — yet the serving path historically built a fresh
 //! matcher per request and threw all of it away. [`MatcherPool`] keeps
 //! a bounded free list of warm matchers: a request checks one out
 //! ([`MatcherPool::checkout`]), runs under a fresh budget/cancel/ctx
@@ -12,7 +12,7 @@
 //! Coherence rides on the existing [`SharedScores`] generation
 //! protocol: `learn`/`refine` bump the shared generation, a checked-out
 //! matcher reconciles lazily at its next query entry point (dropping
-//! its derived caches, pair memo included), and the pool *counts* that reconciliation as a
+//! its derived caches, score memo included), and the pool *counts* that reconciliation as a
 //! rebuild by comparing generations at checkout. Results are therefore
 //! bit-identical to fresh-matcher serving — pooling is pure reuse.
 //!

@@ -8,35 +8,37 @@
 //! read-modify-write and allocates nothing; a miss reads through the
 //! [`SharedScores`] handle behind it, which keeps the expensive work
 //! exactly-once (DESIGN.md §4f). A dataset's label and sequence
-//! vocabularies are tiny next to its pair space, so what the first
-//! `MaxSco` bound reads is dense tables over interned ids:
+//! vocabularies are tiny next to its pair space, so what `ParaMatch`
+//! reads is dense tables over interned ids:
 //!
 //! - `M_ρ` by two [`SeqId`]s of the handle's [`SelectionTable`]: one
 //!   `f32` array read (`NaN` = not asked yet);
 //! - `h_v ≥ σ` by *σ rows*: per end label of `G_D`, two bits (known,
-//!   value) per label id;
+//!   value) per label id — the only question the paper asks of `h_v`,
+//!   for a call's root pair and its descendants alike;
 //! - `wmax`: per sequence, the largest `h_ρ` against any sequence
 //!   interned so far — the ceiling the cover bound sums.
 //!
-//! `h_v` floats, which only the root test of a `ParaMatch` call reads,
-//! stay in a hash memo keyed by the unordered label pair.
+//! The memo answers by id only: `h_v` floats and scores of raw paths or
+//! sequences are the handle's ([`SharedScores::hv`],
+//! [`SharedScores::hrho`]).
 
 use crate::params::Params;
-use crate::shared_scores::{hv_key, identical_labels, SelectionTable, SeqId, SharedScores};
+use crate::shared_scores::{SelectionTable, SeqId, SharedScores};
 use her_graph::hash::FxHashMap;
-use her_graph::{Graph, Interner, LabelId, Path};
+use her_graph::{Graph, Interner, LabelId};
 use std::sync::Arc;
 
 /// The dense `M_ρ` table stops growing at this many sequences a side
 /// (4 MiB); an id past it reads through to the shared tier every time.
 const DENSE_SEQS_MAX: usize = 1024;
 
-/// Handle of one end label's σ row ([`ScoreCache::sigma_row`]): where
-/// it starts in [`SigmaRows::bits`].
+/// Handle of one end label's σ row ([`ScoreCache::sigma_row`]): the
+/// word its bits start at.
 pub type SigmaRow = u32;
 
 /// All σ rows together stop growing at this many words (8 MiB); an end
-/// label met after that takes the hash memo.
+/// label met after that reads the shared tier every time.
 const SIGMA_WORDS_MAX: usize = 1 << 20;
 
 /// `h_v(end, ℓ) ≥ σ` for the end labels of `G_D`: per end label a row of
@@ -45,16 +47,16 @@ const SIGMA_WORDS_MAX: usize = 1 << 20;
 struct SigmaRows {
     sigma: f32,
     /// Label ids a row covers: the interner's size when the rows were
-    /// made. A label interned later takes the hash memo.
+    /// made. A label interned later reads the shared tier every time.
     width: usize,
     row_of: FxHashMap<LabelId, SigmaRow>,
     bits: Vec<u64>,
 }
 
-/// Pair memo for `h_v` and `h_ρ` in front of a [`SharedScores`] handle.
+/// Id-keyed memo for `h_v ≥ σ` and `h_ρ` in front of a [`SharedScores`]
+/// handle.
 pub struct ScoreCache {
     shared: SharedScores,
-    hv_memo: FxHashMap<(LabelId, LabelId), f32>,
     sigma_rows: SigmaRows,
     /// The handle's selection table for this generation, fetched on
     /// first use: `ecache`, and the id space of the three fields below.
@@ -80,7 +82,6 @@ impl ScoreCache {
     pub fn over(shared: SharedScores) -> Self {
         Self {
             shared,
-            hv_memo: FxHashMap::default(),
             sigma_rows: SigmaRows::default(),
             table: None,
             seqs: Vec::new(),
@@ -94,22 +95,6 @@ impl ScoreCache {
     /// The handle this memo reads through.
     pub fn shared(&self) -> &SharedScores {
         &self.shared
-    }
-
-    /// `h_v(u, v) = M_v(L(u), L(v))` on interned labels — same contract
-    /// as [`SharedScores::hv`].
-    pub fn hv(&mut self, params: &Params, interner: &Interner, l1: LabelId, l2: LabelId) -> f32 {
-        if identical_labels(params, interner, l1, l2) {
-            return 1.0;
-        }
-        let key = hv_key(l1, l2);
-        if let Some(&s) = self.hv_memo.get(&key) {
-            self.hits += 1;
-            return s;
-        }
-        let s = self.shared.hv(params, interner, l1, l2);
-        self.hv_memo.insert(key, s);
-        s
     }
 
     /// The σ row of `end`, a label of `G_D`, made on first request —
@@ -136,9 +121,8 @@ impl ScoreCache {
 
     /// `h_v(end, label) ≥ σ`, through `row` — `end`'s, from
     /// [`Self::sigma_row`] under these `params`. A bit not known yet is
-    /// read through the shared tier and kept in the row alone; without a
-    /// row, or for a label past its width, the float goes through the
-    /// hash memo.
+    /// read through the shared tier and kept in the row; without a row,
+    /// or for a label past its width, every answer reads the shared tier.
     #[inline]
     pub fn reaches_sigma(
         &mut self,
@@ -167,13 +151,11 @@ impl ScoreCache {
         (end, row): (LabelId, Option<SigmaRow>),
         label: LabelId,
     ) -> bool {
-        let sigma = params.thresholds.sigma;
-        let Some(row) = row.filter(|_| label.index() < self.sigma_rows.width) else {
-            return self.hv(params, interner, end, label) >= sigma;
-        };
-        let reaches = self.shared.hv(params, interner, end, label) >= sigma;
-        self.sigma_rows.bits[row as usize + label.index() / 32] |=
-            (1 | u64::from(reaches) << 1) << (label.index() % 32 * 2);
+        let reaches = self.shared.hv(params, interner, end, label) >= params.thresholds.sigma;
+        if let Some(row) = row.filter(|_| label.index() < self.sigma_rows.width) {
+            self.sigma_rows.bits[row as usize + label.index() / 32] |=
+                (1 | u64::from(reaches) << 1) << (label.index() % 32 * 2);
+        }
         reaches
     }
 
@@ -237,7 +219,7 @@ impl ScoreCache {
     }
 
     /// `h_ρ` of two paths by sequence id and length: the float
-    /// [`Self::hrho`] returns for the paths themselves.
+    /// [`SharedScores::hrho`] returns for the paths themselves.
     #[inline]
     pub fn hrho_ids(
         &mut self,
@@ -271,39 +253,10 @@ impl ScoreCache {
         (best, count)
     }
 
-    /// `M_ρ` on two edge-label sequences (undivided), straight from the
-    /// shared tier: what asks by sequence rather than by id — schema
-    /// matching, the oracle — is off the hot path.
-    pub fn mrho(
-        &mut self,
-        params: &Params,
-        interner: &Interner,
-        seq1: &[LabelId],
-        seq2: &[LabelId],
-    ) -> f32 {
-        self.shared.mrho(params, interner, seq1, seq2)
-    }
-
-    /// `h_ρ(ρ1, ρ2) = M_ρ(L(ρ1), L(ρ2)) / (len(ρ1) + len(ρ2))` (Eq. 2).
-    pub fn hrho(
-        &mut self,
-        params: &Params,
-        interner: &Interner,
-        rho1: &Path,
-        rho2: &Path,
-    ) -> f32 {
-        let denom = (rho1.len() + rho2.len()) as f32;
-        if denom == 0.0 {
-            return 0.0;
-        }
-        self.mrho(params, interner, rho1.edge_labels(), rho2.edge_labels()) / denom
-    }
-
     /// Drops the private scores and the hold on the selection table —
     /// the matcher's half of the generation protocol, called wherever it
     /// drops its verdict cache.
     pub fn clear(&mut self) {
-        self.hv_memo.clear();
         self.sigma_rows = SigmaRows::default();
         self.table = None;
         self.seqs.clear();
@@ -327,12 +280,12 @@ impl ScoreCache {
         }
     }
 
-    /// Number of privately memoised `h_v` answers — floats in the hash
-    /// memo plus known σ-row bits (introspection).
+    /// Number of privately memoised `h_v ≥ σ` answers: the known σ-row
+    /// bits (introspection).
     pub fn hv_entries(&self) -> usize {
         const KNOWN: u64 = 0x5555_5555_5555_5555;
         let bits = self.sigma_rows.bits.iter().map(|w| (w & KNOWN).count_ones() as usize);
-        self.hv_memo.len() + bits.sum::<usize>()
+        bits.sum()
     }
 }
 
@@ -351,7 +304,7 @@ impl Drop for ScoreCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use her_graph::{GraphBuilder, VertexId};
+    use her_graph::GraphBuilder;
     use std::sync::Arc;
 
     fn setup() -> (Params, Interner) {
@@ -361,117 +314,6 @@ mod tests {
         }
         let (_, interner) = b.build();
         (Params::untrained(32, 5), interner)
-    }
-
-    #[test]
-    fn hv_identical_labels_score_one() {
-        let (p, i) = setup();
-        let mut c = ScoreCache::new();
-        let l = i.get("Germany").unwrap();
-        assert_eq!(c.hv(&p, &i, l, l), 1.0);
-    }
-
-    #[test]
-    fn hv_is_symmetric_and_memoised() {
-        let (p, i) = setup();
-        let mut c = ScoreCache::new();
-        let a = i.get("Germany").unwrap();
-        let b = i.get("phylon foam").unwrap();
-        let s1 = c.hv(&p, &i, a, b);
-        let s2 = c.hv(&p, &i, b, a);
-        assert_eq!(s1, s2);
-        assert_eq!(c.hv_entries(), 1);
-    }
-
-    #[test]
-    fn hv_respects_fine_tuned_overrides() {
-        let (mut p, i) = setup();
-        let mut c = ScoreCache::new();
-        let a = i.get("made_in").unwrap();
-        let b = i.get("factorySite").unwrap();
-        let before = c.hv(&p, &i, a, b);
-        for _ in 0..6 {
-            p.mv.fine_tune_pair("made_in", "factorySite", 1.0);
-        }
-        c.invalidate();
-        let after = c.hv(&p, &i, a, b);
-        assert!(after > before);
-        assert!(after > 0.9);
-    }
-
-    /// Regression: a fine-tuned override on one pair used to disable the
-    /// identical-label fast path (and demote every pair to string
-    /// similarity) globally. The check is now scoped to the queried pair.
-    #[test]
-    fn unrelated_override_keeps_identical_label_fast_path() {
-        let (mut p, i) = setup();
-        let mut c = ScoreCache::new();
-        let germany = i.get("Germany").unwrap();
-        let foam = i.get("phylon foam").unwrap();
-        let baseline = c.hv(&p, &i, germany, foam);
-        c.invalidate();
-        let embeds_before = c.shared().embed_calls();
-        // Fine-tune a completely unrelated pair.
-        p.mv.fine_tune_pair("made_in", "factorySite", 1.0);
-        // Identical labels still take the fast path: score 1, no memo
-        // entry, no embedding computed.
-        assert_eq!(c.hv(&p, &i, germany, germany), 1.0);
-        assert_eq!(c.hv_entries(), 0);
-        assert_eq!(c.shared().embed_calls(), embeds_before);
-        // Unrelated non-identical pairs still use cached embeddings and
-        // score exactly as before the override existed.
-        assert_eq!(c.hv(&p, &i, germany, foam), baseline);
-        assert_eq!(c.shared().embed_calls(), embeds_before + 2);
-    }
-
-    /// The override still wins for the annotated pair itself — including
-    /// an identical-label pair annotated as a false positive.
-    #[test]
-    fn override_on_identical_pair_disables_its_fast_path_only() {
-        let (mut p, i) = setup();
-        let mut c = ScoreCache::new();
-        let germany = i.get("Germany").unwrap();
-        let foam = i.get("phylon foam").unwrap();
-        for _ in 0..8 {
-            p.mv.fine_tune_pair("Germany", "Germany", 0.0);
-        }
-        assert!(c.hv(&p, &i, germany, germany) < 0.1);
-        // Other identical labels are untouched.
-        assert_eq!(c.hv(&p, &i, foam, foam), 1.0);
-    }
-
-    #[test]
-    fn embed_calls_count_distinct_labels_once() {
-        let (p, i) = setup();
-        let mut c = ScoreCache::new();
-        let a = i.get("Germany").unwrap();
-        let b = i.get("phylon foam").unwrap();
-        let d = i.get("isIn").unwrap();
-        let _ = c.hv(&p, &i, a, b);
-        let _ = c.hv(&p, &i, a, d);
-        let _ = c.hv(&p, &i, b, d);
-        assert_eq!(c.shared().embed_calls(), 3, "three distinct labels, one embed each");
-    }
-
-    #[test]
-    fn hrho_divides_by_total_length() {
-        let (p, i) = setup();
-        let mut c = ScoreCache::new();
-        let made_in = i.get("made_in").unwrap();
-        let p1 = Path::new(vec![VertexId(0), VertexId(1)], vec![made_in]);
-        let p2 = Path::new(vec![VertexId(2), VertexId(3)], vec![made_in]);
-        let undivided = c.mrho(&p, &i, &[made_in], &[made_in]);
-        let h = c.hrho(&p, &i, &p1, &p2);
-        assert!((h - undivided / 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn hrho_trivial_paths_score_zero() {
-        let (p, i) = setup();
-        let mut c = ScoreCache::new();
-        let t1 = Path::trivial(VertexId(0));
-        let t2 = Path::trivial(VertexId(1));
-        assert_eq!(c.hrho(&p, &i, &t1, &t2), 0.0);
     }
 
     /// A hub in `G_D` and one in `G` with `edges` distinct edge labels
@@ -491,8 +333,9 @@ mod tests {
     }
 
     /// σ rows are sized when they are made: a label interned later — a
-    /// stream's, the index's late label — is past their width and takes
-    /// the hash memo, and so does an end label met once the rows are full.
+    /// stream's, the index's late label — is past their width and reads
+    /// the shared tier every time, and so does an end label met once the
+    /// rows are full.
     #[test]
     fn sigma_rows_answer_like_hv_within_and_past_their_width() {
         let (p, i) = setup();
@@ -506,15 +349,16 @@ mod tests {
         let late = [b.intern("germany!"), b.intern("a late label")];
         let (_, i) = b.build();
         let sigma = p.thresholds.sigma;
-        let mut oracle = ScoreCache::new();
+        let oracle = SharedScores::new();
         for (l, _) in i.iter() {
             let want = oracle.hv(&p, &i, end, l) >= sigma;
-            let memo = c.hv_memo.len();
             assert_eq!(c.reaches_sigma(&p, &i, (end, row), l), want, "{l:?}");
+            let hits = c.hits;
             assert_eq!(c.reaches_sigma(&p, &i, (end, row), l), want, "{l:?} again");
-            // Within the width the bit is the row's alone; past it the
-            // float goes through the hash memo, as it does without a row.
-            assert_eq!(c.hv_memo.len() - memo, usize::from(late.contains(&l)), "{l:?}");
+            // Within the width the second answer is the row's bit; past
+            // it the float is read from the shared tier again, as it is
+            // without a row.
+            assert_eq!(c.hits - hits, u64::from(!late.contains(&l)), "{l:?}");
             assert_eq!(c.reaches_sigma(&p, &i, (end, None), l), want, "{l:?} without a row");
         }
         // Another σ starts the rows over, at the interner's size now.
@@ -575,15 +419,18 @@ mod tests {
         assert_eq!(c.wmax(&p, &i, su[0].seq), (w, count), "remembered");
     }
 
+    /// `invalidate` drops the σ bits of this memo and the floats of the
+    /// handle behind it.
     #[test]
     fn invalidate_clears_memos() {
         let (p, i) = setup();
         let mut c = ScoreCache::new();
         let a = i.get("Germany").unwrap();
         let b = i.get("isIn").unwrap();
-        let _ = c.hv(&p, &i, a, b);
-        assert_eq!(c.hv_entries(), 1);
+        let row = c.sigma_row(&p, &i, a);
+        let _ = c.reaches_sigma(&p, &i, (a, row), b);
+        assert_eq!((c.hv_entries(), c.shared().hv_entries()), (1, 1));
         c.invalidate();
-        assert_eq!(c.hv_entries(), 0);
+        assert_eq!((c.hv_entries(), c.shared().hv_entries()), (0, 0));
     }
 }

@@ -290,18 +290,6 @@ impl Default for SharedScores {
     }
 }
 
-/// Identical interned labels always score 1 unless this exact pair was
-/// fine-tuned (e.g. annotated as a false positive). The check is scoped
-/// to the queried pair, so unrelated overrides leave the fast path on.
-pub(crate) fn identical_labels(
-    params: &Params,
-    interner: &Interner,
-    l1: LabelId,
-    l2: LabelId,
-) -> bool {
-    l1 == l2 && !params.mv.is_overridden(interner.resolve(l1), interner.resolve(l1))
-}
-
 /// `f` over `items` on up to `threads` scoped threads, in input order.
 fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     let chunk = items.len().div_ceil(threads.max(1)).max(1);
@@ -316,11 +304,6 @@ fn par_map<T: Sync, R: Send>(items: &[T], threads: usize, f: impl Fn(&T) -> R + 
     })
 }
 
-/// `h_v` is symmetric: one memo entry per unordered label pair.
-pub(crate) fn hv_key(l1: LabelId, l2: LabelId) -> (LabelId, LabelId) {
-    if l1 <= l2 { (l1, l2) } else { (l2, l1) }
-}
-
 impl SharedScores {
     /// Creates an empty shared cache (no telemetry attached, default
     /// shard count).
@@ -329,7 +312,7 @@ impl SharedScores {
     }
 
     /// Creates an empty shared cache sized for `workers` concurrent
-    /// readers (next power of two, minimum [`DEFAULT_SHARD_COUNT`]).
+    /// readers (next power of two, minimum 16 — the [`Self::new`] count).
     pub fn for_workers(workers: usize) -> Self {
         Self::build(None, None, shards_for_workers(workers))
     }
@@ -387,9 +370,9 @@ impl SharedScores {
     /// Credits `n` memo hits to this handle. `shared_hits` means "a score
     /// answered from a memo, on either tier": shared-table hits count one
     /// at a time; a [`crate::scores::ScoreCache`] tallies its private
-    /// hits — hash memo, dense `M_ρ` table and σ-row bits alike —
-    /// locally and credits them in one batch per matcher entry point, so
-    /// the hot loop never touches this (contended) cache line and the
+    /// hits — dense `M_ρ` table and σ-row bits alike — locally and
+    /// credits them in one batch per matcher entry point, so the hot
+    /// loop never touches this (contended) cache line and the
     /// counter stays comparable across the commits that moved answers
     /// from one private structure to another.
     pub fn add_hits(&self, n: u64) {
@@ -399,15 +382,19 @@ impl SharedScores {
         }
     }
 
-    /// `h_v` on interned labels, including per-pair override scoping:
-    /// when the queried pair itself carries a fine-tuned override this
-    /// routes through the string interface so feedback is honoured; all
-    /// other pairs use the cached embeddings.
+    /// `h_v(u, v) = M_v(L(u), L(v))` on interned labels, including
+    /// per-pair override scoping: when the queried pair itself carries a
+    /// fine-tuned override this routes through the string interface so
+    /// feedback is honoured; all other pairs use the cached embeddings.
     pub fn hv(&self, params: &Params, interner: &Interner, l1: LabelId, l2: LabelId) -> f32 {
-        if identical_labels(params, interner, l1, l2) {
+        // Identical labels score 1 unless this exact pair was fine-tuned
+        // (e.g. annotated as a false positive): unrelated overrides leave
+        // the fast path on.
+        if l1 == l2 && !params.mv.is_overridden(interner.resolve(l1), interner.resolve(l1)) {
             return 1.0;
         }
-        let key = hv_key(l1, l2);
+        // `h_v` is symmetric: one memo entry per unordered label pair.
+        let key = if l1 <= l2 { (l1, l2) } else { (l2, l1) };
         let shard = self.shard(&key);
         if let Some(&s) = shard.read().expect("scores shard poisoned").hv_memo.get(&key) {
             self.add_hits(1);
@@ -491,6 +478,15 @@ impl SharedScores {
         let mut w = shard.write().expect("scores shard poisoned");
         w.mrho_memo.entry(seq1.into()).or_default().insert(seq2.into(), s);
         s
+    }
+
+    /// `h_ρ(ρ1, ρ2) = M_ρ(L(ρ1), L(ρ2)) / (len(ρ1) + len(ρ2))` (Eq. 2).
+    pub fn hrho(&self, params: &Params, interner: &Interner, rho1: &Path, rho2: &Path) -> f32 {
+        let denom = (rho1.len() + rho2.len()) as f32;
+        if denom == 0.0 {
+            return 0.0;
+        }
+        self.mrho(params, interner, rho1.edge_labels(), rho2.edge_labels()) / denom
     }
 
     /// Parallel batch pre-embedding of the `M_v` label vocabulary:
@@ -681,24 +677,134 @@ mod tests {
     }
 
     #[test]
-    fn shared_hv_matches_private_cache_bit_for_bit() {
+    fn hv_identical_labels_score_one() {
+        let (p, i, _) = setup();
+        let l = i.get("Germany").unwrap();
+        assert_eq!(SharedScores::new().hv(&p, &i, l, l), 1.0);
+    }
+
+    #[test]
+    fn hv_is_symmetric_and_memoised() {
+        let (p, i, _) = setup();
+        let shared = SharedScores::new();
+        let a = i.get("Germany").unwrap();
+        let b = i.get("phylon foam").unwrap();
+        assert_eq!(shared.hv(&p, &i, a, b), shared.hv(&p, &i, b, a));
+        assert_eq!(shared.hv_entries(), 1);
+    }
+
+    #[test]
+    fn hv_respects_fine_tuned_overrides() {
+        let (mut p, i, _) = setup();
+        let shared = SharedScores::new();
+        let a = i.get("made_in").unwrap();
+        let b = i.get("factorySite").unwrap();
+        let before = shared.hv(&p, &i, a, b);
+        for _ in 0..6 {
+            p.mv.fine_tune_pair("made_in", "factorySite", 1.0);
+        }
+        shared.invalidate();
+        let after = shared.hv(&p, &i, a, b);
+        assert!(after > before);
+        assert!(after > 0.9);
+    }
+
+    /// Regression: a fine-tuned override on one pair used to disable the
+    /// identical-label fast path (and demote every pair to string
+    /// similarity) globally. The check is now scoped to the queried pair.
+    #[test]
+    fn unrelated_override_keeps_identical_label_fast_path() {
+        let (mut p, i, _) = setup();
+        let shared = SharedScores::new();
+        let germany = i.get("Germany").unwrap();
+        let foam = i.get("phylon foam").unwrap();
+        let baseline = shared.hv(&p, &i, germany, foam);
+        shared.invalidate();
+        let embeds_before = shared.embed_calls();
+        // Fine-tune a completely unrelated pair.
+        p.mv.fine_tune_pair("made_in", "factorySite", 1.0);
+        // Identical labels still take the fast path: score 1, no memo
+        // entry, no embedding computed.
+        assert_eq!(shared.hv(&p, &i, germany, germany), 1.0);
+        assert_eq!(shared.hv_entries(), 0);
+        assert_eq!(shared.embed_calls(), embeds_before);
+        // Unrelated non-identical pairs still use cached embeddings and
+        // score exactly as before the override existed.
+        assert_eq!(shared.hv(&p, &i, germany, foam), baseline);
+        assert_eq!(shared.embed_calls(), embeds_before + 2);
+    }
+
+    /// The override still wins for the annotated pair itself — including
+    /// an identical-label pair annotated as a false positive.
+    #[test]
+    fn override_on_identical_pair_disables_its_fast_path_only() {
+        let (mut p, i, _) = setup();
+        let shared = SharedScores::new();
+        let germany = i.get("Germany").unwrap();
+        let foam = i.get("phylon foam").unwrap();
+        for _ in 0..8 {
+            p.mv.fine_tune_pair("Germany", "Germany", 0.0);
+        }
+        assert!(shared.hv(&p, &i, germany, germany) < 0.1);
+        // Other identical labels are untouched.
+        assert_eq!(shared.hv(&p, &i, foam, foam), 1.0);
+    }
+
+    #[test]
+    fn embed_calls_count_distinct_labels_once() {
+        let (p, i, _) = setup();
+        let shared = SharedScores::new();
+        let a = i.get("Germany").unwrap();
+        let b = i.get("phylon foam").unwrap();
+        let d = i.get("isIn").unwrap();
+        let _ = shared.hv(&p, &i, a, b);
+        let _ = shared.hv(&p, &i, a, d);
+        let _ = shared.hv(&p, &i, b, d);
+        assert_eq!(shared.embed_calls(), 3, "three distinct labels, one embed each");
+    }
+
+    #[test]
+    fn hrho_divides_by_total_length() {
+        let (p, i, _) = setup();
+        let shared = SharedScores::new();
+        let made_in = i.get("made_in").unwrap();
+        let p1 = Path::new(vec![VertexId(0), VertexId(1)], vec![made_in]);
+        let p2 = Path::new(vec![VertexId(2), VertexId(3)], vec![made_in]);
+        let undivided = shared.mrho(&p, &i, &[made_in], &[made_in]);
+        let h = shared.hrho(&p, &i, &p1, &p2);
+        assert!((h - undivided / 2.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn hrho_trivial_paths_score_zero() {
+        let (p, i, _) = setup();
+        let t1 = Path::trivial(VertexId(0));
+        let t2 = Path::trivial(VertexId(1));
+        assert_eq!(SharedScores::new().hrho(&p, &i, &t1, &t2), 0.0);
+    }
+
+    /// A matcher's memo answers `h_v ≥ σ` from its σ rows exactly as the
+    /// floats of a handle of its own compare with σ.
+    #[test]
+    fn private_sigma_bits_agree_with_shared_floats() {
         let (p, i, labels) = setup();
         let shared = SharedScores::new();
         let mut private = ScoreCache::new();
         for &a in &labels {
+            let row = private.sigma_row(&p, &i, a);
             for &b in &labels {
                 assert_eq!(
-                    shared.hv(&p, &i, a, b).to_bits(),
-                    private.hv(&p, &i, a, b).to_bits(),
-                    "hv({a:?}, {b:?}) diverged"
+                    private.reaches_sigma(&p, &i, (a, row), b),
+                    shared.hv(&p, &i, a, b) >= p.thresholds.sigma,
+                    "hv({a:?}, {b:?}) ≥ σ diverged"
                 );
             }
         }
     }
 
-    /// The satellite stress test: N threads score overlapping
-    /// vocabularies concurrently; every result agrees bit-for-bit with a
-    /// single-threaded `ScoreCache`, and each distinct label embeds once.
+    /// The stress test: N threads score overlapping vocabularies
+    /// concurrently; every result agrees bit-for-bit with a
+    /// single-threaded handle, and each distinct label embeds once.
     #[test]
     fn concurrent_scoring_agrees_with_sequential() {
         let (p, i, mut labels) = setup();
@@ -740,12 +846,12 @@ mod tests {
                 .map(|h| h.join().expect("stress thread panicked"))
                 .collect()
         });
-        let mut private = ScoreCache::new();
+        let sequential = SharedScores::new();
         let expected: Vec<u32> = (0..labels.len() * labels.len())
             .map(|n| {
                 let a = labels[n / labels.len()];
                 let b = labels[n % labels.len()];
-                private.hv(&p, &i, a, b).to_bits()
+                sequential.hv(&p, &i, a, b).to_bits()
             })
             .collect();
         for (t, r) in results.iter().enumerate() {
@@ -788,10 +894,10 @@ mod tests {
                 .map(|h| h.join().expect("stress thread panicked"))
                 .collect()
         });
-        let mut private = ScoreCache::new();
+        let sequential = SharedScores::new();
         let expected: Vec<u32> = (0..seqs.len())
             .map(|n| {
-                private
+                sequential
                     .mrho(&p, &i, &seqs[n], &seqs[(n + 2) % seqs.len()])
                     .to_bits()
             })

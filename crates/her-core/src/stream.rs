@@ -835,7 +835,7 @@ mod tests {
         let shared = her
             .shared_scores
             .as_ref()
-            .expect("facade handle on by default")
+            .expect("the facade always has a handle")
             .clone();
 
         // Warm the facade handle with a plain session (the reference for

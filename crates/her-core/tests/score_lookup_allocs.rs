@@ -97,30 +97,27 @@ fn warm_hrho_and_hv_lookups_do_not_allocate() {
     let end = (pu.label, private.sigma_row(&p, &i, pu.label));
     // Cold: scores the two sequences, fills both tiers.
     let cold = private.hrho_ids(&p, &i, of(&pu), of(&pv));
-    let cold_hv = private.hv(&p, &i, pu.label, pv.label);
     let cold_bit = private.reaches_sigma(&p, &i, end, pv.label);
-    assert_eq!(cold.to_bits(), private.hrho(&p, &i, rho1, rho2).to_bits(), "one float by id and by path");
+    let cold_hv = shared.hv(&p, &i, pu.label, pv.label);
+    assert_eq!(cold.to_bits(), shared.hrho(&p, &i, rho1, rho2).to_bits(), "one float by id and by path");
     assert_eq!(cold_bit, cold_hv >= p.thresholds.sigma);
 
     // Warm private tier: the ParaMatch hot path.
-    let mut warm = (0.0, 0.0, false);
+    let mut warm = (0.0, false);
     let n = allocations(|| {
-        warm = (
-            private.hrho_ids(&p, &i, of(&pu), of(&pv)),
-            private.hv(&p, &i, pu.label, pv.label),
-            private.reaches_sigma(&p, &i, end, pv.label),
-        );
+        warm = (private.hrho_ids(&p, &i, of(&pu), of(&pv)), private.reaches_sigma(&p, &i, end, pv.label));
     });
     assert_eq!(n, 0, "warm private lookups allocated");
-    assert_eq!((warm.0.to_bits(), warm.1.to_bits(), warm.2), (cold.to_bits(), cold_hv.to_bits(), cold_bit));
+    assert_eq!((warm.0.to_bits(), warm.1), (cold.to_bits(), cold_bit));
 
     // Warm shared tier, as a fresh matcher's first read sees it. (The
     // lock-order tracker of debug builds allocates per acquisition, so
     // the count only means something with tracking compiled out.)
     let denom = (rho1.len() + rho2.len()) as f32;
+    let mut warm = (0.0, 0.0);
     let n = allocations(|| {
         let undivided = shared.mrho(&p, &i, rho1.edge_labels(), rho2.edge_labels());
-        warm = (undivided / denom, shared.hv(&p, &i, pu.label, pv.label), cold_bit);
+        warm = (undivided / denom, shared.hv(&p, &i, pu.label, pv.label));
     });
     if !her_sync::TRACKING {
         assert_eq!(n, 0, "warm shared lookups allocated");
@@ -172,7 +169,7 @@ fn warm_viable_allocates_nothing_per_pool_member() {
     let s = {
         let mut m = Matcher::new(&gd, &g, &i, &probe);
         let (su, sv) = (m.select_d(u), m.select_g(roots[0]));
-        ScoreCache::new().hrho(&probe, &i, &su[0].1, &sv[0].1)
+        SharedScores::new().hrho(&probe, &i, &su[0].1, &sv[0].1)
     };
     assert!(s > 0.0);
     let p = probe.with_thresholds(Thresholds::new(0.9, s * 1.5, 4));

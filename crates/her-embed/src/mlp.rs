@@ -7,7 +7,7 @@
 //! network exposes [`Mlp::backward_from`] so ranking losses (triplet loss,
 //! §IV "Interaction and refinement") can inject custom output gradients.
 //!
-//! **Layout and bit identity.** A [`Layer`] stores its weights
+//! **Layout and bit identity.** A `Layer` stores its weights
 //! input-major, so the forward pass accumulates all outputs side by side
 //! and the weight update is a contiguous outer product; both vectorise,
 //! where a row-major dot product is one serial chain of adds per output.

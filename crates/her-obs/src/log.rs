@@ -2,9 +2,10 @@
 //!
 //! Quiet by default: the CLI maps `-v` to [`Level::Info`] and `-vv` to
 //! [`Level::Debug`]. Warnings are always shown. Diagnostics go through
-//! the [`info!`]/[`debug!`]/[`warn!`] macros, which skip formatting
-//! entirely when the level is off (and compile to nothing without the
-//! `enabled` feature, except warnings, which stay).
+//! the [`info!`](crate::info)/[`debug!`](crate::debug)/[`warn!`](crate::warn)
+//! macros, which skip formatting entirely when the level is off (and
+//! compile to nothing without the `enabled` feature, except warnings,
+//! which stay).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

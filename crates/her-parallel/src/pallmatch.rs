@@ -64,18 +64,12 @@ pub struct ParallelConfig {
     /// records `bsp.*`/`parallel.*`/`fault.*` metrics, and
     /// death/recovery events land in the trace log.
     pub obs: Option<her_obs::Obs>,
-    /// Share one sharded score layer behind all workers' private pair
-    /// memos (and pre-embed the label vocabulary before the BSP loop
-    /// starts), so `M_v`/`M_ρ` vectors are computed once per distinct
-    /// label process-wide instead of once per worker. `false` gives each
-    /// worker a layer of its own — only useful for ablation.
-    pub shared_scores: bool,
-    /// Reuse an already-built [`SharedScores`] handle (typically the
-    /// facade handle of the `Her` instance this run serves) instead of
-    /// building a fresh one. The handle is still pre-warmed, but the
-    /// prewarm reads through the existing memo, so labels embedded by an
-    /// earlier run — sequential or BSP — are never re-embedded.
-    /// Ignored when [`ParallelConfig::shared_scores`] is `false`.
+    /// The score handle every worker and the candidate probe read
+    /// through — typically the facade handle of the `Her` instance this
+    /// run serves; `None` builds a fresh one sized for the workers. The
+    /// run pre-warms it either way, reading through what it already
+    /// holds, so labels embedded by an earlier run — sequential or BSP —
+    /// are never re-embedded.
     pub shared_handle: Option<SharedScores>,
     /// Request-scoped trace context ([`her_obs::ReqCtx`]): tags the
     /// run's spans (`parallel.*`) and per-superstep barrier events so a
@@ -94,7 +88,6 @@ impl Default for ParallelConfig {
             simulate_cluster: true,
             fault: FaultPlan::default(),
             obs: None,
-            shared_scores: true,
             shared_handle: None,
             ctx: her_obs::ReqCtx::NONE,
         }
@@ -845,11 +838,11 @@ fn engine(
     // an earlier run is not redone. The cache is pure memoisation of
     // deterministic functions, so Theorem 3's sequential equivalence is
     // unaffected.
-    let shared_scores = cfg.shared_scores.then(|| match (&cfg.shared_handle, &cfg.obs) {
+    let shared = match (&cfg.shared_handle, &cfg.obs) {
         (Some(s), _) => s.clone(),
         (None, Some(o)) => SharedScores::with_obs_for_workers(o, n),
         (None, None) => SharedScores::for_workers(n),
-    });
+    };
 
     // Global h_r preprocessing (§IV "Complexity"): the handle's selection
     // table, filled once in parallel and read lock-free by all workers.
@@ -857,23 +850,20 @@ fn engine(
     // rankings are identical across fragment boundaries, which Theorem
     // 3's equivalence with the sequential algorithm implicitly assumes.
     // They are derived state: a resumed run recomputes rather than
-    // checkpoints them, and workers without a shared handle fill a table
-    // of their own on demand.
-    let mut selection_secs = 0.0;
-    if let Some(shared) = &shared_scores {
-        let span = |name| cfg.obs.as_ref().map(|o| o.tracer.span_ctx(name, cfg.ctx));
-        let t0 = std::time::Instant::now();
-        let selecting = span("parallel.selection");
-        shared
-            .selections(gd, g, params.thresholds.k)
-            .fill(gd, g, &params.ranker, n);
-        drop(selecting);
-        selection_secs = t0.elapsed().as_secs_f64();
-        // Pre-warmed here so `M_v`/`M_ρ` run once per distinct label
-        // process-wide instead of once per worker.
-        let _prewarming = span("parallel.prewarm");
-        prewarm_shared_scores(shared, gd, g, interner, params, n);
-    }
+    // checkpoints them.
+    let span = |name| cfg.obs.as_ref().map(|o| o.tracer.span_ctx(name, cfg.ctx));
+    let t0 = std::time::Instant::now();
+    let selecting = span("parallel.selection");
+    shared
+        .selections(gd, g, params.thresholds.k)
+        .fill(gd, g, &params.ranker, n);
+    drop(selecting);
+    let selection_secs = t0.elapsed().as_secs_f64();
+    // Pre-warmed here so `M_v`/`M_ρ` run once per distinct label
+    // process-wide instead of once per worker.
+    let prewarming = span("parallel.prewarm");
+    prewarm_shared_scores(&shared, gd, g, interner, params, n);
+    drop(prewarming);
 
     let new_matcher = || {
         Matcher::with_options(
@@ -883,7 +873,7 @@ fn engine(
             params,
             MatcherOptions {
                 obs: cfg.obs.clone(),
-                shared_scores: shared_scores.clone(),
+                shared_scores: Some(shared.clone()),
                 ..Default::default()
             },
         )
@@ -1273,44 +1263,32 @@ mod tests {
         }
     }
 
-    /// The shared score layer is pure memoisation of deterministic score
-    /// functions: ablating it must not change a single match, and with it
-    /// on the whole run embeds each distinct label at most once (the
-    /// prewarm pass) instead of once per worker.
+    /// Every worker and the candidate probe read through one score
+    /// handle, so a whole 4-worker run embeds each distinct label at most
+    /// once (the prewarm pass) instead of once per worker.
     #[test]
-    fn shared_scores_ablation_is_equivalent_and_bounds_embeds() {
+    fn a_run_embeds_each_distinct_label_at_most_once() {
         let (gd, g, interner, us, _) = dataset(12);
-        let p = params();
-        let run = |shared: bool| {
-            let obs = her_obs::Obs::new();
-            let cfg = ParallelConfig {
-                workers: 4,
-                use_blocking: false,
-                obs: Some(obs.clone()),
-                shared_scores: shared,
-                ..Default::default()
-            };
-            let (matches, _) = pallmatch(&gd, &g, &interner, &p, &us, &cfg);
-            (matches, obs.registry.snapshot().counter("scores.embed_calls"))
+        let obs = her_obs::Obs::new();
+        let cfg = ParallelConfig {
+            workers: 4,
+            use_blocking: false,
+            obs: Some(obs.clone()),
+            ..Default::default()
         };
-        let (with, shared_embeds) = run(true);
-        let (without, unshared_embeds) = run(false);
-        assert_eq!(with, without);
+        pallmatch(&gd, &g, &interner, &params(), &us, &cfg);
         if her_obs::ENABLED {
+            let embeds = obs.registry.snapshot().counter("scores.embed_calls");
             let distinct: FxHashSet<LabelId> = g
                 .vertices()
                 .map(|v| g.label(v))
                 .chain(gd.vertices().map(|v| gd.label(v)))
                 .collect();
+            assert!(embeds > 0);
             assert!(
-                shared_embeds <= distinct.len() as u64,
-                "shared mode embedded {shared_embeds} labels but only {} are distinct",
+                embeds <= distinct.len() as u64,
+                "the run embedded {embeds} labels but only {} are distinct",
                 distinct.len()
-            );
-            assert!(
-                unshared_embeds > shared_embeds,
-                "private caches ({unshared_embeds} embeds) should redo work \
-                 the shared layer ({shared_embeds}) does once"
             );
         }
     }

@@ -198,7 +198,7 @@ impl Admission {
 
     /// Batched [`Admission::force_release`]: claims every still-held flag
     /// first, then hands all the freed slots over in one
-    /// [`Admission::release_many`] wakeup — one lock acquisition and one
+    /// `release_many` wakeup — one lock acquisition and one
     /// unpark sweep when the watchdog reaps (or a shutdown drains)
     /// several wedged requests together. Returns how many releases this
     /// call performed.

@@ -743,6 +743,13 @@ impl std::fmt::Display for WireError {
             WireError::Closed => write!(f, "connection closed"),
             WireError::Torn => write!(f, "connection died mid-message"),
             WireError::Corrupt(m) => write!(f, "corrupt message: {m}"),
+            // A socket read timeout surfaces as `WouldBlock` on Unix and
+            // `TimedOut` elsewhere; either way the reply did not come.
+            WireError::Io(e)
+                if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) =>
+            {
+                write!(f, "timed out waiting for the server")
+            }
             WireError::Io(e) => write!(f, "transport error: {e}"),
         }
     }
@@ -815,6 +822,17 @@ pub fn read_message(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_socket_timeout_reads_as_a_timeout() {
+        use std::io::{Error, ErrorKind};
+        for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            let e = WireError::Io(Error::from(kind));
+            assert_eq!(e.to_string(), "timed out waiting for the server", "{kind:?}");
+        }
+        let refused = WireError::Io(Error::from(ErrorKind::ConnectionRefused));
+        assert!(refused.to_string().starts_with("transport error: "), "{refused}");
+    }
 
     fn sample_requests() -> Vec<Request> {
         vec![

@@ -20,8 +20,6 @@
 //!   --max-calls N        abort matching after N recursive calls
 //!   --deadline-ms MS     abort matching after MS milliseconds
 //!   --workers N          parallel apair/vpair over N BSP workers
-//!   --shared-scores on|off   share one score cache across matchers/workers
-//!                        (default on; off re-embeds per matcher — ablation)
 //!   --checkpoint-dir DIR durable apair: snapshot BSP state into DIR
 //!   --checkpoint-every-supersteps N    snapshot cadence (default 1)
 //!   --resume             re-enter the run from the newest valid snapshot
@@ -89,7 +87,8 @@
 //! ```
 //!
 //! Exit codes: `0` success, `1` data error (unreadable/unparsable input),
-//! `2` usage error, `3` budget exhausted (partial results printed),
+//! `2` usage error (an unknown flag among them), `3` budget exhausted
+//! (partial results printed),
 //! `4` service unavailable (overloaded/shed or unreachable — retryable).
 //!
 //! Diagnostics go to stderr through [`her::obs::log`]; match output on
@@ -118,7 +117,10 @@ fn main() {
         usage();
         exit(2);
     };
-    let opts = parse_flags(&args[1..]);
+    let opts = match parse_flags(&args[1..]) {
+        Ok(opts) => opts,
+        Err(e) => fail(e),
+    };
     her::obs::log::set_verbosity(if opts.contains_key("vv") {
         2
     } else if opts.contains_key("v") {
@@ -145,12 +147,18 @@ fn main() {
         _ => Err(HerError::Usage(format!("unknown command {command:?}"))),
     };
     if let Err(e) = outcome {
-        eprintln!("her-cli: {e}");
-        if matches!(e, HerError::Usage(_)) {
-            usage();
-        }
-        exit(e.exit_code());
+        fail(e);
     }
+}
+
+/// Reports `e` (with the usage text for a usage error) and exits with
+/// its code.
+fn fail(e: HerError) -> ! {
+    eprintln!("her-cli: {e}");
+    if matches!(e, HerError::Usage(_)) {
+        usage();
+    }
+    exit(e.exit_code());
 }
 
 fn usage() {
@@ -159,7 +167,6 @@ fn usage() {
          \t[--annotations FILE.csv] [--tuple N] [--vertex N] \\\n\
          \t[--sigma S] [--delta D] [--k K] [--relation NAME] \\\n\
          \t[--max-calls N] [--deadline-ms MS] [--workers N] \\\n\
-         \t[--shared-scores on|off] \\\n\
          \t[--checkpoint-dir DIR] [--checkpoint-every-supersteps N] \\\n\
          \t[--resume] [--stop-after-supersteps N] \\\n\
          \t[--wal FILE] [--stop-after-ops N] \\\n\
@@ -178,12 +185,32 @@ fn usage() {
 /// Flags that never take a value (everything else pairs `--key value`).
 const BOOL_FLAGS: &[&str] = &["trace", "v", "vv", "resume"];
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Every documented flag that takes a value. Any other `--key` is a
+/// usage error, so a typo never runs with the flag silently dropped.
+const VALUE_FLAGS: &[&str] = &[
+    "db", "graph", "annotations", "tuple", "vertex", "sigma", "delta", "k", "relation",
+    "max-calls", "deadline-ms", "workers", "checkpoint-dir", "checkpoint-every-supersteps",
+    "stop-after-supersteps", "wal", "stop-after-ops", "metrics-out",
+    // serve
+    "addr", "port-file", "max-inflight", "max-queue", "snapshot-dir", "snapshot-every-ops",
+    "max-sessions", "fault-seed", "fault-drop", "fault-delay", "fault-delay-ms",
+    "fault-truncate", "fault-garble", "fault-kill", "iofault-seed", "iofault-fsync-from",
+    "iofault-fsync-count", "iofault-enospc-after", "iofault-torn-at", "iofault-read-eio",
+    "iofault-delay-write-ms", "wal-retries", "probe-interval-ms", "trace-sample", "flight-path",
+    // query, top, trace
+    "op", "session", "id", "format", "timeout-ms", "retries", "retry-seed", "interval-ms",
+    "iterations", "dump",
+];
+
+fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, HerError> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i].trim_start_matches('-').to_owned();
         let boolean = BOOL_FLAGS.contains(&key.as_str());
+        if args[i].starts_with('-') && !boolean && !VALUE_FLAGS.contains(&key.as_str()) {
+            return Err(HerError::Usage(format!("unknown flag {:?}", args[i])));
+        }
         if !boolean && i + 1 < args.len() && !args[i + 1].starts_with('-') {
             out.insert(key, args[i + 1].clone());
             i += 2;
@@ -192,7 +219,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             i += 1;
         }
     }
-    out
+    Ok(out)
 }
 
 fn required(opts: &HashMap<String, String>, key: &str) -> Result<String, HerError> {
@@ -314,22 +341,8 @@ fn run(mode: &str, opts: &HashMap<String, String>) -> Result<(), HerError> {
             None => 20,
         },
     );
-    // Shared scoring layer: on by default; `off` gives every matcher and
-    // worker a private cache (the ablation baseline, which re-embeds the
-    // label vocabulary once per matcher).
-    let shared_scores = match opts.get("shared-scores").map(String::as_str) {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => {
-            return Err(HerError::Usage(format!(
-                "--shared-scores expects on or off, got {other:?}"
-            )))
-        }
-    };
-
     let cfg = HerConfig {
         thresholds,
-        use_shared_scores: shared_scores,
         ..Default::default()
     };
     let build_span = obs.tracer.span("cli.build");
@@ -429,7 +442,6 @@ fn run(mode: &str, opts: &HashMap<String, String>) -> Result<(), HerError> {
     let pcfg = |n: usize| her::parallel::ParallelConfig {
         workers: n,
         obs: Some(obs.clone()),
-        shared_scores,
         ..Default::default()
     };
 

@@ -122,6 +122,28 @@ fn parallel_cli_run_records_superstep_timings() {
     }
 }
 
+/// Only documented flags are accepted: a typo, or a flag the CLI no
+/// longer has, exits 2 instead of running with the flag dropped.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    let dir = std::env::temp_dir().join("her-cli-obs-unknown-flag-test");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    export_demo(&dir);
+
+    for flag in [["--shared-scores", "off"], ["--max-cals", "5"]] {
+        let out = cli()
+            .args(demo_args(&flag))
+            .current_dir(&dir)
+            .output()
+            .expect("run with an unknown flag");
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {:?}", flag[0])), "{stderr}");
+        assert!(out.stdout.is_empty(), "{flag:?} ran anyway: {out:?}");
+    }
+}
+
 #[test]
 fn workers_with_budget_flags_is_a_usage_error() {
     let dir = std::env::temp_dir().join("her-cli-obs-usage-test");

@@ -198,8 +198,9 @@ proptest! {
     /// its own score handle, matchers on a cold and on a warm shared
     /// handle, and a warm re-armed (pooled) matcher agree on the match
     /// set, every lineage set and — warm re-run aside — `MatchStats`,
-    /// with `early_termination` on and off; 2- and 4-worker `pallmatch`, with and
-    /// without a shared handle, find the sequential match set.
+    /// with `early_termination` on and off; 2- and 4-worker `pallmatch`, on
+    /// a fresh handle and on the sequential run's warm one, find the
+    /// sequential match set.
     #[test]
     fn score_tiers_and_engines_agree(
         (g, interner) in arb_graph(8, 12),
@@ -243,14 +244,15 @@ proptest! {
             }
             if opts.early_termination {
                 for workers in [2, 4] {
-                    for shared_scores in [true, false] {
+                    for shared_handle in [None, Some(shared.clone())] {
+                        let warm = shared_handle.is_some();
                         let (parallel, _) = pallmatch(&gd, &g, &interner, &params, &roots, &ParallelConfig {
                             workers,
                             use_blocking: false,
-                            shared_scores,
+                            shared_handle,
                             ..Default::default()
                         });
-                        prop_assert_eq!(&parallel, &matches, "{} workers, shared {}", workers, shared_scores);
+                        prop_assert_eq!(&parallel, &matches, "{} workers, warm handle {}", workers, warm);
                     }
                 }
             }
@@ -261,7 +263,7 @@ proptest! {
     /// else: on random `(G_D, G)` with random σ, δ and `k`, with
     /// `early_termination` on and off, scanning and blocked. The reference is
     /// written here from public pieces — pool, then `hv_pair ≥ σ`, then
-    /// the bound from raw selections, paths and a memo of its own (no
+    /// the bound from raw selections, paths and a handle of its own (no
     /// plan, σ row or cover), then a fresh matcher's `is_match` per pair
     /// — and (i) `candidates(u)` is exactly the members of `C(u)` whose
     /// reference bound reaches δ, so it holds every reference match of
@@ -305,7 +307,7 @@ proptest! {
             // Fig. 4 line 12 from the definition: Σ over the selected u′ of
             // the best σ-compatible h_ρ.
             let reference_bound = |u: VertexId, v: VertexId| -> f32 {
-                let mut scores = her::core::scores::ScoreCache::new();
+                let scores = her::core::SharedScores::new();
                 let (su, sv) = (params.ranker.select(&gd, u, k), params.ranker.select(&g, v, k));
                 let mut bound = 0.0f32;
                 for (up, pu) in &su {

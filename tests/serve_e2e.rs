@@ -396,6 +396,7 @@ fn seeded_reply_faults_settle_every_query_on_exit_0_or_4() {
     let (mute, addr) = spawn_server(&dir, &common, "mute-port.txt", &["--fault-drop", "1"]);
     let out = query(&dir, &addr, &["--op", "ping", "--retries", "2", "--timeout-ms", "100"]);
     assert_eq!(out.status.code(), Some(4), "a dropped ping answered: {out:?}");
+    assert!(stderr(&out).contains("timed out"), "the timeout is not named: {out:?}");
     drop(mute);
 
     let _ = fs::remove_dir_all(&dir);
